@@ -391,20 +391,21 @@ InjectionResult Campaign::runInjection(
   // and arm with the *remaining* executions (memory faults are timed on the
   // absolute instruction count, so they need no re-arming). instrCount and
   // output are restored absolute, so the hang budget, manifestation latency
-  // and SDC comparison below are oblivious to the skipped prefix.
+  // and SDC comparison below are oblivious to the skipped prefix. Rollback
+  // trials do not restore, but still arm a register fault at the checkpoint
+  // (see the boundary loop below).
+  const TrialCheckpoint* ck =
+      memFault ? replaySourceAt(pt.nth) : replaySource(pt);
   std::uint64_t armNth = pt.nth;
-  if (!wantRollback) {
-    if (const TrialCheckpoint* ck =
-            memFault ? replaySourceAt(pt.nth) : replaySource(pt)) {
-      {
-        trace::Span restoreSpan("trial.restore_checkpoint", "campaign");
-        ex.restoreCheckpoint(ck->rp);
-      }
-      if (!memFault)
-        armNth = pt.nth -
-                 ck->siteCounts[static_cast<std::size_t>(siteIndexOf(pt.loc))];
-      res.replaySavedInstrs = ck->rp.instrCount;
+  if (ck && !memFault)
+    armNth = pt.nth -
+             ck->siteCounts[static_cast<std::size_t>(siteIndexOf(pt.loc))];
+  if (ck && !wantRollback) {
+    {
+      trace::Span restoreSpan("trial.restore_checkpoint", "campaign");
+      ex.restoreCheckpoint(ck->rp);
     }
+    res.replaySavedInstrs = ck->rp.instrCount;
   }
   const std::uint64_t budget = goldenInstrs_ * cfg_.hangFactor + 1'000'000;
   vm::CheckpointRing ring(cfg_.rollbackRingCap);
@@ -421,48 +422,50 @@ InjectionResult Campaign::runInjection(
 
   std::uint64_t injAt = 0;
   bool fired = false;
-  if (!memFault)
-    ex.armInjection(pt.loc, armNth, [&](Executor& e) {
+  const auto armRegFault = [&](std::uint64_t nth) {
+    ex.armInjection(pt.loc, nth, [&](Executor& e) {
       injAt = e.instrCount();
       fired = true;
       corruptDestination(e, pt.loc, pt.bits);
     });
+  };
 
+  ex.setBudget(budget);
   vm::RunResult run;
-  if (memFault && !wantRollback) {
-    // Run exactly up to the fault time, strike the word, then let the run
-    // finish. A replay-cache restore above already advanced instrCount, so
-    // the bounded leg only covers the remaining segment.
-    ex.setBudget(budget);
-    run = ex.runBounded(pt.nth, cfg_.entry);
-    if (run.status == vm::RunStatus::BudgetExceeded &&
-        run.instrCount == pt.nth) {
-      fired = ex.memory().injectFault(pt.memAddr, pt.bits);
-      injAt = pt.nth;
-      run = vm::runToCompletion(ex, cfg_.entry);
-    }
-  } else if (memFault) {
-    // Rollback trial with a memory fault: drive the boundary grid by hand
-    // so the strike lands exactly at pt.nth without disturbing the
-    // absolute rollbackInterval_ spacing runCheckpointed() would produce.
-    // The fault is transient (injected once): a rollback to a checkpoint
-    // before pt.nth genuinely erases it.
-    ex.setBudget(budget);
-    bool injected = false;
+  if (wantRollback) {
+    // Rollback trial: drive the ring's boundary grid by hand — entry state,
+    // then every rollbackInterval_ instructions on the absolute grid — with
+    // one extra stop (not a ring push) at the fault event. A memory fault
+    // strikes its word there. A register fault is *armed* there: at the
+    // last replay checkpoint before its site, with the remaining
+    // executions, exactly like a replay-cache trial, so the fault-free
+    // prefix runs unarmed (natively on the JIT) instead of under the
+    // per-instruction watchpoint. The prefix is the golden run either way,
+    // so the ring captures the same states as an entry-armed trial. The
+    // fault is transient (one event): a rollback to a checkpoint before it
+    // genuinely erases it. A mid-run rollback rewinds instrCount below the
+    // current stop; the stops are absolute, so the re-execution simply
+    // runs back up to them.
+    const std::uint64_t eventAt =
+        memFault ? pt.nth : (ck ? ck->rp.instrCount : 0);
+    bool eventDone = false;
     run = ex.runBounded(ex.instrCount(), cfg_.entry); // entry boundary
     if (run.status == vm::RunStatus::BudgetExceeded) {
       ring.push(ex);
       std::uint64_t next = ex.instrCount() + rollbackInterval_;
       for (;;) {
-        const bool faultStop = !injected && pt.nth < next;
-        if (!faultStop && next >= budget) break;
-        const std::uint64_t stop = faultStop ? pt.nth : next;
-        run = ex.runBounded(stop, cfg_.entry);
+        const bool eventStop = !eventDone && eventAt < next;
+        if (!eventStop && next >= budget) break;
+        run = ex.runBounded(eventStop ? eventAt : next, cfg_.entry);
         if (run.status != vm::RunStatus::BudgetExceeded) break;
-        if (faultStop && run.instrCount >= pt.nth) {
-          fired = ex.memory().injectFault(pt.memAddr, pt.bits);
-          injAt = pt.nth;
-          injected = true;
+        if (eventStop) {
+          eventDone = true;
+          if (memFault) {
+            fired = ex.memory().injectFault(pt.memAddr, pt.bits);
+            injAt = pt.nth;
+          } else {
+            armRegFault(armNth);
+          }
         } else {
           ring.push(ex);
           next += rollbackInterval_;
@@ -471,15 +474,19 @@ InjectionResult Campaign::runInjection(
       if (run.status == vm::RunStatus::BudgetExceeded)
         run = vm::runToCompletion(ex, cfg_.entry);
     }
-  } else if (wantRollback) {
-    // Boundary-driven run: pause every rollbackInterval_ instructions and
-    // feed the ring (entry state included). A mid-run rollback rewinds
-    // instrCount below the current boundary target; the driver's budget is
-    // absolute, so the re-execution simply runs back up to it.
-    run = vm::runCheckpointed(ex, cfg_.entry, rollbackInterval_, budget,
-                              [&](Executor& e) { ring.push(e); });
+  } else if (memFault) {
+    // Run exactly up to the fault time, strike the word, then let the run
+    // finish. A replay-cache restore above already advanced instrCount, so
+    // the bounded leg only covers the remaining segment.
+    run = ex.runBounded(pt.nth, cfg_.entry);
+    if (run.status == vm::RunStatus::BudgetExceeded &&
+        run.instrCount == pt.nth) {
+      fired = ex.memory().injectFault(pt.memAddr, pt.bits);
+      injAt = pt.nth;
+      run = vm::runToCompletion(ex, cfg_.entry);
+    }
   } else {
-    ex.setBudget(budget);
+    armRegFault(armNth);
     run = vm::runToCompletion(ex, cfg_.entry);
   }
   res.injected = fired;

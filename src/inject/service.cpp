@@ -53,6 +53,11 @@ struct alignas(64) ShmHeader {
   /// testKillAtTrial one-shot latch: first worker to reach the trial wins
   /// the CAS and SIGKILLs itself; its replacement runs the trial normally.
   std::atomic<std::uint64_t> testKillFired;
+  /// Set by the coordinator once every shard is committed: idle workers
+  /// stop claiming and exit 0 instead of idle-polling the empty queue. (No
+  /// worker can be mid-shard then: a shard is requeued only while it is
+  /// uncommitted after its dead owner's pipe has been drained.)
+  std::atomic<std::uint32_t> allDone;
 };
 
 int shardStart(std::uint64_t shard, int shardSize) {
@@ -91,6 +96,7 @@ bool writeAll(int fd, const std::uint8_t* p, std::size_t len) {
   try {
     int idle = 0;
     for (;;) {
+      if (hdr->allDone.load(std::memory_order_acquire)) break;
       std::uint64_t shard;
       if (!q->pop(shard)) {
         // The queue can be transiently empty while the coordinator requeues
@@ -246,6 +252,7 @@ public:
     auto* base = static_cast<std::uint8_t*>(shm_.data());
     hdr_ = new (base) ShmHeader;
     hdr_->testKillFired.store(0, std::memory_order_relaxed);
+    hdr_->allDone.store(0, std::memory_order_relaxed);
     slots_ = reinterpret_cast<WorkerSlot*>(base + slotsOff);
     for (int w = 0; w < procs; ++w) {
       new (slots_ + w) WorkerSlot;
@@ -258,14 +265,20 @@ public:
     for (int w = 0; w < procs; ++w)
       if (spawn(w)) ++live_;
 
-    while (doneShards() < numShards_ && live_ > 0) {
+    // Run until every worker is reaped. Once the last shard commits the
+    // idle workers are told to exit, so a worker that crashed right after
+    // committing the final shard is still reaped and counted like any
+    // other crash, whatever the scheduling.
+    while (live_ > 0) {
+      if (doneShards() == numShards_)
+        hdr_->allDone.store(1, std::memory_order_release);
       pollPipes();
       reapWorkers();
       maybeEmitProgress();
     }
 
-    // Campaign complete (or no worker left): kill stragglers still chewing
-    // a duplicate, then run whatever is uncommitted inline. The inline
+    // No worker left: kill any seat the loop did not reap (none after a
+    // clean run), then run whatever is uncommitted inline. The inline
     // sweep is the completion guarantee — it covers exhausted restart
     // budgets, fork failures, and shards lost in the pop->publish gap.
     for (Seat& seat : seats_) {

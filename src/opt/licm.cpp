@@ -134,7 +134,11 @@ bool hoistLoop(Function& f, Loop& loop) {
   bool progress = true;
   while (progress) {
     progress = false;
-    for (BasicBlock* bb : loop.blocks) {
+    // Function order, not loop.blocks order: that set is keyed on heap
+    // addresses, and the hoist order decides the preheader's instruction
+    // order (and with it the IR, MIR and line table of every O1 build).
+    for (BasicBlock* bb : f) {
+      if (!loop.contains(bb)) continue;
       for (std::size_t i = 0; i < bb->size();) {
         Instruction* in = bb->inst(i);
         if ((isHoistable(in) || isInvariantGlobalLoad(in, mem)) &&
@@ -150,7 +154,6 @@ bool hoistLoop(Function& f, Loop& loop) {
       }
     }
   }
-  (void)f;
   return changed;
 }
 

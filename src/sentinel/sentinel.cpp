@@ -393,7 +393,10 @@ private:
     analysis::LoopInfo li(f_, dt);
     for (const auto& loop : li.loops()) {
       if (!sig.count(loop->header)) continue; // the trap self-loop
-      for (BasicBlock* bb : loop->blocks) {
+      // Function order: loop->blocks is keyed on heap addresses, and the
+      // check-site order decides fresh names and block layout.
+      for (BasicBlock* bb : f_) {
+        if (!loop->contains(bb)) continue;
         Instruction* term = bb->terminator();
         if (!term) continue;
         bool backEdge = false;

@@ -202,6 +202,8 @@ private:
   /// trap hook arms instrumentation mid-run, the plain variant syncs state,
   /// sets *switchToInstrumented and returns so runFast() can re-enter the
   /// instrumented one — equivalent to the reference loop's Retry `continue`.
+  /// The instrumented variant hands back the same way once its injection
+  /// has fired and disarmed; runJit() uses that to resume native code.
   template <bool kInstrumented>
   RunResult runFastImpl(bool* switchToInstrumented = nullptr);
 

@@ -3,8 +3,13 @@
 // run() under InterpKind::Jit alternates between native execution of
 // compiled code and the fast interpreter:
 //
-//  * instrumented runs (profiling, armed injection) stay on the fast
+//  * profiling, ECC-armed and access-traced runs stay on the fast
 //    interpreter entirely — they need its per-instruction checks;
+//  * an armed injection runs only its armed window on the instrumented
+//    fast loop (runFastImpl<true>): when the injection fires and disarms,
+//    that loop syncs state and hands back (switchVariant), and the
+//    post-fault remainder — most of every campaign trial — continues
+//    natively under the same exact trap and budget semantics;
 //  * a position with no native entry (function below its compile
 //    threshold, interpret-only, or a basic block that no longer fits the
 //    effective budget) is burst-interpreted under a stopAt_ bound, then
@@ -34,11 +39,10 @@ constexpr std::uint64_t kBurst = 65536;
 } // namespace
 
 RunResult Executor::runJit() {
-  // Profiling counts, nth-execution injection watchpoints and ECC-armed
-  // memory need per-access checks the emitted templates don't carry; the
-  // fast interpreter provides them with identical results.
-  if (profiling_ || injArmed_ || mem_.eccEnabled() ||
-      mem_.accessTraceActive())
+  // Profiling counts and ECC-armed or access-traced memory need per-access
+  // checks the emitted templates don't carry; the fast interpreter provides
+  // them with identical results.
+  if (profiling_ || mem_.eccEnabled() || mem_.accessTraceActive())
     return runFast();
 
   JitImage& jimg = image_->jit();
@@ -68,11 +72,21 @@ RunResult Executor::runJit() {
       res.instrCount = instrCount_;
       return res;
     }
-    // A trap hook may have armed instrumentation mid-run; hand the rest of
-    // the run over, like the plain fast-loop variant does.
-    if (profiling_ || injArmed_ || mem_.eccEnabled() ||
-        mem_.accessTraceActive())
+    // A trap hook may have enabled instrumentation mid-run; hand the rest
+    // of the run over, like the plain fast-loop variant does.
+    if (profiling_ || mem_.eccEnabled() || mem_.accessTraceActive())
       return runFast();
+    if (injArmed_) {
+      // Armed window: the instrumented loop watches for the nth execution.
+      // It returns with switchVariant set right after the injection fired
+      // and disarmed, position and count synced — resume natively from
+      // there. Any other return (budget, trap, done) ends the run exactly
+      // as runFast() would.
+      bool handoff = false;
+      RunResult r = runFastImpl<true>(&handoff);
+      if (handoff) continue;
+      return r;
+    }
 
     const void* entry =
         jimg.entryFor(curModule_, curFunc_, curInstr_, instrCount_, stop);

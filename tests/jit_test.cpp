@@ -1,8 +1,10 @@
 // Template-JIT backend tests (DESIGN.md §4h): backend selection and its
 // error path, compilation of hot functions, exact-budget deopt at every
 // block boundary shape (block entry, mid-block, last instruction of a
-// compiled block), ResumePoint equivalence and cross-backend restore, and
-// full-campaign byte-identity against the fast interpreter.
+// compiled block), ResumePoint equivalence and cross-backend restore, the
+// armed-window handoff back to native code after an injection fires, and
+// full-campaign byte-identity against the fast interpreter (rollback
+// campaigns included).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -191,6 +193,127 @@ TEST(Jit, FastCapturedResumePointRestoresIntoJit) {
             0);
 }
 
+// --- armed window: handoff back to native code after the injection ---------
+
+constexpr const char* kCallProgram = R"(
+  double acc[64];
+  double scale(double x, int k) { return x * 0.5 + k; }
+  int main() {
+    double s = 0.0;
+    for (int i = 0; i < 400; i = i + 1) {
+      acc[i % 64] = scale(acc[(i + 1) % 64], i);
+      s = s + acc[i % 64];
+    }
+    emit(s);
+    return 3;
+  })";
+
+/// The most-executed instruction of `fn` whose op satisfies `pick`, by the
+/// profile of `prof`.
+vm::CodeLoc hottestOp(const vm::Executor& prof, const std::string& fn,
+                      bool (*pick)(backend::MOp)) {
+  const vm::Image& img = *prof.image();
+  const vm::FuncRef f = img.findFunction(fn);
+  const backend::MFunction& mf = img.function({f.module, f.func, 0});
+  vm::CodeLoc best;
+  for (std::size_t i = 0; i < mf.code.size(); ++i) {
+    const vm::CodeLoc loc{f.module, f.func, static_cast<std::int32_t>(i)};
+    if (pick(mf.code[i].op) &&
+        (!best.valid() || prof.profileCount(loc) > prof.profileCount(best)))
+      best = loc;
+  }
+  return best;
+}
+
+// An armed run executes only its armed window on the instrumented fast
+// loop; once the injection fires and disarms, the rest runs natively. Fire
+// on a Call (the handoff lands on the callee's entry), on a Ret (on the
+// return address), on a conditional branch, on a jump and on a plain ALU
+// op, then stop the run 0..3 instructions after the fire — the stop lands
+// inside the first native block, or on its fit check. The jit and fast
+// ResumePoints must be byte-identical at every stop, and both runs must
+// finish identically.
+TEST(Jit, InjectionHandoffResumePointsMatchFast) {
+  if (!vm::jitAvailable()) GTEST_SKIP() << "no executable mappings";
+  Program p = buildProgram(kCallProgram, opt::OptLevel::O0);
+  const vm::Image& img = *p.image;
+
+  vm::Executor prof(&img);
+  prof.enableProfiling();
+  prof.setBudget(10'000'000);
+  ASSERT_EQ(vm::runToCompletion(prof, "main").status, vm::RunStatus::Done);
+
+  struct Site {
+    const char* what;
+    vm::CodeLoc loc;
+  };
+  using backend::MOp;
+  const Site sites[] = {
+      {"call", hottestOp(prof, "main", [](MOp o) { return o == MOp::Call; })},
+      {"ret", hottestOp(prof, "scale", [](MOp o) { return o == MOp::Ret; })},
+      {"branch",
+       hottestOp(prof, "main", [](MOp o) { return o == MOp::BrCmp; })},
+      {"jump", hottestOp(prof, "main", [](MOp o) { return o == MOp::Jmp; })},
+      {"alu", hottestOp(prof, "scale",
+                        [](MOp o) { return o == MOp::FAluMem ||
+                                           o == MOp::FMul ||
+                                           o == MOp::FAdd; })},
+  };
+
+  for (const Site& site : sites) {
+    ASSERT_TRUE(site.loc.valid()) << site.what;
+    const std::uint64_t execs = prof.profileCount(site.loc);
+    ASSERT_GT(execs, 4u) << site.what;
+    // Mid-run, so the surrounding code is compiled and hot.
+    const std::uint64_t nth = execs / 2;
+
+    // The fire time, from an unbounded fast run.
+    std::uint64_t fireAt = 0;
+    {
+      vm::Executor ex(&img);
+      ex.setInterp(vm::InterpKind::Fast);
+      ex.setBudget(10'000'000);
+      ex.armInjection(site.loc, nth,
+                      [&](vm::Executor& e) { fireAt = e.instrCount(); });
+      ASSERT_EQ(vm::runToCompletion(ex, "main").status, vm::RunStatus::Done);
+      ASSERT_GT(fireAt, 0u) << site.what;
+    }
+
+    for (std::uint64_t after = 0; after < 4; ++after) {
+      const std::string tag =
+          std::string(site.what) + " +" + std::to_string(after);
+      auto start = [&](vm::InterpKind k) {
+        auto ex = std::make_unique<vm::Executor>(&img);
+        ex->setInterp(k);
+        ex->setBudget(10'000'000);
+        // Corrupt a live FP value so a wrong resume point shows up in the
+        // registers and in the emitted output.
+        ex->armInjection(site.loc, nth, [](vm::Executor& e) {
+          e.state().f[0] = -e.state().f[0] + 1.0;
+        });
+        return ex;
+      };
+      auto fast = start(vm::InterpKind::Fast);
+      auto jit = start(vm::InterpKind::Jit);
+      const vm::RunResult fr = fast->runBounded(fireAt + after);
+      const vm::RunResult jr = jit->runBounded(fireAt + after);
+      ASSERT_EQ(fr.status, vm::RunStatus::BudgetExceeded) << tag;
+      ASSERT_EQ(jr.status, fr.status) << tag;
+      ASSERT_EQ(jr.instrCount, fireAt + after) << tag;
+      expectSameResumePoint(jit->resumePoint(), fast->resumePoint(), tag);
+
+      const vm::RunResult ff = vm::runToCompletion(*fast, "main");
+      const vm::RunResult jf = vm::runToCompletion(*jit, "main");
+      EXPECT_EQ(jf.status, ff.status) << tag;
+      EXPECT_EQ(jf.instrCount, ff.instrCount) << tag;
+      EXPECT_EQ(jf.exitCode, ff.exitCode) << tag;
+      EXPECT_EQ(jit->output(), fast->output()) << tag;
+      expectSameResumePoint(jit->resumePoint(), fast->resumePoint(),
+                            tag + " (end)");
+    }
+  }
+}
+
 // --- full-campaign byte-identity --------------------------------------------
 
 // Acceptance gate: a cold five-workload campaign executed entirely under
@@ -264,6 +387,76 @@ TEST(Jit, MemoryFaultCampaignSerializesIdenticallyToFast) {
     EXPECT_EQ(inject::serializeDeterministic(jit),
               inject::serializeDeterministic(fast))
         << tag;
+  }
+}
+
+// Rollback campaigns (repair_then_rollback) on all five workloads at O0 and
+// O1: each register-fault trial re-run under Safeguard runs its golden
+// prefix unarmed, is armed at the last replay checkpoint before its fault
+// site, and finishes natively after the injection fires. Every leg must
+// serialize byte-identical to the fast interpreter with the replay cache
+// off, where trials are armed at entry and never leave the watched loop:
+//   * jit and fast at the auto replay interval;
+//   * jit with the replay cache off;
+//   * jit with a replay interval that does not divide into the rollback
+//     ring's spacing, so arm stops fall between ring boundaries.
+TEST(Jit, RollbackCampaignSerializesIdenticallyToFast) {
+  if (!vm::jitAvailable()) GTEST_SKIP() << "no executable mappings";
+  InterpGuard guard;
+  struct Leg {
+    const char* name;
+    vm::InterpKind interp;
+    std::uint64_t ckpt;
+  };
+  const Leg kLegs[] = {
+      {"fast/auto", vm::InterpKind::Fast, inject::CampaignConfig::kCkptAuto},
+      {"jit/auto", vm::InterpKind::Jit, inject::CampaignConfig::kCkptAuto},
+      {"jit/off", vm::InterpKind::Jit, 0},
+      {"jit/100003", vm::InterpKind::Jit, 100003},
+  };
+  for (const opt::OptLevel level : {opt::OptLevel::O0, opt::OptLevel::O1}) {
+    for (const workloads::Workload* w : workloads::allWorkloads()) {
+      inject::ExperimentConfig ecfg;
+      ecfg.level = level;
+      ecfg.cacheDir = "care_test_artifacts/jit_rollback";
+      ecfg.armor.detectAuto = false;
+      ecfg.armor.detectSampleAuto = false;
+      const inject::BuiltWorkload built = inject::buildWorkload(*w, ecfg);
+
+      auto campaign = [&](vm::InterpKind interp, std::uint64_t ckpt) {
+        inject::CampaignConfig cfg;
+        cfg.seed = 41;
+        cfg.hangFactor = 4;
+        cfg.checkpointEveryInstrs = ckpt;
+        cfg.recover = core::RecoveryStrategy::RepairThenRollback;
+        cfg.rollbackRingCap = 8;
+        cfg.fault = inject::FaultModel::Reg;
+        cfg.ecc = vm::EccMode::Off;
+        cfg.prune = {};
+        inject::Campaign c(built.image.get(), cfg);
+        EXPECT_TRUE(c.profile()) << w->name;
+        vm::setDefaultInterp(interp);
+        inject::ExperimentResult r;
+        r.workload = w->name;
+        r.level = level;
+        r.goldenInstrs = c.goldenInstrs();
+        r.records =
+            inject::runCampaign(c, 24, 41, 2, &built.artifacts, nullptr);
+        return r;
+      };
+      const inject::ExperimentResult ref = campaign(vm::InterpKind::Fast, 0);
+      int careRuns = 0;
+      for (const auto& rec : ref.records) careRuns += rec.haveCare;
+      const std::string where =
+          w->name + (level == opt::OptLevel::O0 ? " O0" : " O1");
+      EXPECT_GT(careRuns, 0) << where << ": no trial re-ran under Safeguard";
+      const auto want = inject::serializeDeterministic(ref);
+      for (const Leg& leg : kLegs)
+        EXPECT_EQ(inject::serializeDeterministic(
+                      campaign(leg.interp, leg.ckpt)),
+                  want)
+            << where << " " << leg.name;
+    }
   }
 }
 

@@ -149,6 +149,55 @@ TEST(Sentinel, CompileDriverReportsStats) {
   EXPECT_GT(on.sentinelStats.addedInstrs(), 0u);
 }
 
+// --- determinism across heap layouts ---------------------------------------
+
+/// Every function's MIR text plus its line table, in module order.
+std::string mirWithLines(const backend::MModule& m) {
+  std::string s;
+  for (const backend::MFunction& f : m.functions) {
+    s += backend::toString(f);
+    for (const auto& loc : f.lineTable)
+      s += std::to_string(loc.file) + ":" + std::to_string(loc.line) + ":" +
+           std::to_string(loc.col) + " ";
+    s += "\n";
+  }
+  return s;
+}
+
+// Codegen must not depend on where the allocator puts IR objects: an O1
+// pass that walks a pointer-keyed set (LICM's loop blocks, Sentinel's
+// back-edge check sites) reorders hoists and checks with the heap layout,
+// which changes MIR, line tables and campaign records between two compiles
+// of one program in one process. Compile every workload three times at O1
+// with Armor and both detectors, shifting the heap between compiles, and
+// require identical MIR and line tables.
+TEST(Determinism, O1ArmorSentinelCompilesIgnoreHeapLayout) {
+  core::CompileOptions opts;
+  opts.optLevel = opt::OptLevel::O1;
+  opts.artifactDir = "care_test_artifacts/determinism";
+  opts.armor.detectAuto = false;
+  opts.armor.detectSampleAuto = false;
+  opts.armor.detect = bothDetectors();
+  std::vector<std::unique_ptr<char[]>> ballast;
+  for (const Workload* w : workloads::allWorkloads()) {
+    std::string first;
+    for (int i = 0; i < 3; ++i) {
+      // Odd-sized live allocations between compiles, so the next compile's
+      // blocks and instructions land at different relative addresses.
+      for (int k = 0; k < 64; ++k)
+        ballast.push_back(std::make_unique<char[]>(16 + 40 * ((k * 7 + i) % 9)));
+      const core::CompiledModule cm =
+          core::careCompile(w->sources, w->name + "_det", opts);
+      const std::string text = mirWithLines(*cm.mmod);
+      if (i == 0)
+        first = text;
+      else
+        EXPECT_TRUE(text == first) << w->name << ": compile " << i
+                                   << " differs from compile 0";
+    }
+  }
+}
+
 // --- campaigns --------------------------------------------------------------
 
 inject::ExperimentConfig campaignConfig(const std::string& dir,

@@ -247,8 +247,8 @@ TEST(TrapDiff, RemainderOverflowFpeIdentically) {
 // corruption — whatever happens, all backends must land on the same bits.
 // This sweeps the trap paths (SegFault/Bus/BadPC from wild addresses), the
 // injection arming/firing bookkeeping, and the post-injection
-// instrumented→plain handoff (which on the JIT backend also covers the
-// whole-run delegation for armed executors) in one go.
+// instrumented→plain handoff (which on the JIT backend is the handoff from
+// the armed window back to native code) in one go.
 TEST(InjectionDiff, RegisterCorruptionPlaysOutIdentically) {
   const Workload& w = workloads::hpccg();
   BuildKeep keep;
