@@ -5,8 +5,9 @@
 // 10000 for Tables 2-4 and 1000-2000 SIGSEGV points for Fig 7), CARE_SEED
 // the campaign seed, CARE_THREADS the campaign worker count (0/unset =
 // hardware concurrency, 1 = serial; any value yields identical records).
-// Results are cached under care_artifacts/, so re-running a bench — or
-// another bench sharing the same campaign — is instant. Set CARE_TELEMETRY
+// Results are stored as campaign shards under care_artifacts/, so
+// re-running a bench — or another bench sharing the same campaign — is
+// instant. Set CARE_TELEMETRY
 // to a path (or "-") to collect one JSON line per campaign.
 #pragma once
 

@@ -44,7 +44,7 @@ struct ArmorOptions {
   /// Sentinel site-sampling layer (DESIGN.md §4j): arm ~1/rate of the
   /// detector sites for the given rotation epoch. Rate 1 (the default) is
   /// byte-identical to unsampled instrumentation. Semantic whenever the
-  /// detectors are armed and rate > 1 (cache key, store key, telemetry).
+  /// detectors are armed and rate > 1 (campaign key, telemetry).
   pareto::SampleConfig detectSample;
   /// When true (the default) CARE_DETECT_SAMPLE, if set, overrides
   /// `detectSample`; tests and benches pin this to false.
@@ -55,7 +55,7 @@ struct ArmorOptions {
   }
   /// Safeguard recovery policy (DESIGN.md §4f). A runtime knob rather than
   /// a compile-time one, but it rides in ArmorOptions so every consumer of
-  /// the armor ablation plumbing (experiment cache key, carecc, benches)
+  /// the armor ablation plumbing (campaign key, carecc, benches)
   /// picks it up the same way `detect` is picked up.
   RecoveryStrategy recover = RecoveryStrategy::Repair;
   /// When true (the default) CARE_RECOVER, if set, overrides `recover`.

@@ -400,7 +400,7 @@ std::vector<InjectionRecord> runCampaignTrials(
   const pareto::PruneOptions prune = campaign.pruneOptions();
   if (!prune.enabled)
     return runShardedTrials(static_cast<int>(points.size()), seed, service,
-                            trial, telemetry);
+                            trial, telemetry, campaign.goldenInstrs());
 
   // --- Equivalence-class pruning (DESIGN.md §4j) -------------------------
   // Group the pre-derived points by Campaign::pruneKey; the first trial of
@@ -430,8 +430,9 @@ std::vector<InjectionRecord> runCampaignTrials(
   const TrialFn repFn = [&](int j, Rng& r) {
     return trial(reps[static_cast<std::size_t>(j)], r);
   };
-  std::vector<InjectionRecord> repRecords = runShardedTrials(
-      static_cast<int>(reps.size()), seed, service, repFn, telemetry);
+  std::vector<InjectionRecord> repRecords =
+      runShardedTrials(static_cast<int>(reps.size()), seed, service, repFn,
+                       telemetry, campaign.goldenInstrs());
 
   // Expand: every member receives a copy of its representative's record
   // with its own point. For `dup` groups the points are equal too; for
@@ -451,7 +452,7 @@ std::vector<InjectionRecord> runCampaignTrials(
   // --prune-audit=K: re-run K deterministically chosen non-representative
   // members exhaustively and hard-fail on any deterministic-byte
   // divergence from the expanded copy. A verification knob: it must not
-  // (and cannot) change the records, so it stays out of every cache key.
+  // (and cannot) change the records, so it stays out of the campaign key.
   if (prune.auditK > 0) {
     std::vector<int> members;
     for (std::size_t i = 0; i < points.size(); ++i)

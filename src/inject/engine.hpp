@@ -18,7 +18,7 @@
 // the serial engine; only wall-clock microsecond timings vary, exactly as
 // they do between two serial runs. `threads` — and `processes`, its
 // multi-process sibling (service.hpp) — is a performance knob, not an
-// experiment parameter, and deliberately stays out of the disk-cache key.
+// experiment parameter, and deliberately stays out of the campaign key.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +47,7 @@ struct CampaignTelemetry {
   std::string level;           // "O0" / "O1" / ""
   /// Resolved interpreter backend ("ref"/"fast"/"jit") captured when the
   /// record is created. Telemetry-only: the backends are bit-identical, so
-  /// the backend is deliberately NOT part of the experiment cache key.
+  /// the backend is deliberately NOT part of the campaign key.
   std::string interp = vm::interpName(vm::defaultInterp());
   int trials = 0;
   int threads = 1;             // workers actually used

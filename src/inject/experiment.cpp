@@ -2,8 +2,8 @@
 
 #include <array>
 #include <chrono>
-#include <filesystem>
 
+#include "inject/result_store.hpp"
 #include "support/bytestream.hpp"
 #include "support/error.hpp"
 #include "support/md5.hpp"
@@ -12,126 +12,16 @@ namespace care::inject {
 
 namespace {
 
+/// The serializeDeterministic header: this magic, then
+/// kExperimentCacheVersion. Version history of the record layout:
+/// v10: replaySavedInstrs joins the full-fidelity format (the multi-process
+/// service ships records over pipes / the result store, and campaign
+/// telemetry needs the replay savings to survive that trip).
+/// v11: memory-resident fault models + ECC (DESIGN.md §4i) — records carry
+/// the point's model/memAddr and per-trial ECC counters. Also re-records
+/// every campaign: register-fault bit positions are now sampled within the
+/// destination's width instead of being folded by a modulo.
 constexpr std::uint32_t kCacheMagic = 0x45435243; // "CRCE"
-// v10: replaySavedInstrs joins the full-fidelity format (the multi-process
-// service ships records over pipes / the result store, and campaign
-// telemetry needs the replay savings to survive that trip).
-// v11: memory-resident fault models + ECC (DESIGN.md §4i) — records carry
-// the point's model/memAddr and per-trial ECC counters, and the resolved
-// fault model / ECC mode join both cache keys. Also re-records every
-// campaign: register-fault bit positions are now sampled within the
-// destination's width instead of being folded by a modulo.
-constexpr std::uint32_t kCacheVersion = kExperimentCacheVersion;
-/// Folded into the cache key only when Sentinel detectors are armed, so
-/// detector-off campaigns keep their pre-Sentinel paths and bytes while
-/// armed campaigns can never collide with stale detector-free entries.
-constexpr std::uint64_t kSentinelCacheVersion = 1;
-/// Folded into both keys only when sampling (rate > 1) or pruning is in
-/// effect, so the overwhelmingly common unsampled/unpruned campaigns keep
-/// their pre-pareto paths and store keys byte-for-byte.
-constexpr std::uint64_t kParetoCacheVersion = 1;
-
-void hashParetoBlocks(Md5& h, const sentinel::DetectOptions& det,
-                      const pareto::SampleConfig& sample, bool pruneEnabled) {
-  // Sampling only changes the build when detectors are armed; epoch is
-  // canonicalized mod rate (16@1 and 16@17 arm the same sites).
-  if (det.any() && sample.rate > 1) {
-    const std::uint64_t sm[] = {kParetoCacheVersion, sample.rate,
-                                sample.epoch % sample.rate};
-    h.update("detect-sample");
-    h.update(sm, sizeof(sm));
-  }
-  if (pruneEnabled) {
-    const std::uint64_t pr[] = {kParetoCacheVersion};
-    h.update("prune");
-    h.update(pr, sizeof(pr));
-  }
-}
-
-std::string cachePath(const std::string& workload,
-                      const ExperimentConfig& cfg,
-                      std::uint64_t ckptInterval,
-                      core::RecoveryStrategy recover,
-                      std::uint64_t rollbackRingCap, FaultModel fault,
-                      vm::EccMode ecc, const pareto::SampleConfig& sample,
-                      bool pruneEnabled) {
-  // cfg.threads is deliberately absent: the engine guarantees identical
-  // records for every worker count, so serial- and parallel-written
-  // campaigns share one cache entry. The resolved replay-cache interval is
-  // included (see ExperimentConfig::ckptInterval), as are the resolved
-  // recovery strategy and ring capacity — those change trial semantics.
-  Md5 h;
-  h.update(workload);
-  h.update(cfg.level == opt::OptLevel::O0 ? "O0" : "O1");
-  const std::uint64_t nums[] = {cfg.bits, cfg.seed,
-                                static_cast<std::uint64_t>(cfg.injections),
-                                cfg.careOnSegv ? 1u : 0u,
-                                cfg.armor.requireNonLocalUse ? 1u : 0u,
-                                cfg.armor.maximalSlicing ? 1u : 0u,
-                                cfg.patchBaseFirst ? 1u : 0u,
-                                cfg.armor.inductionRecovery ? 1u : 0u,
-                                ckptInterval,
-                                static_cast<std::uint64_t>(recover),
-                                rollbackRingCap,
-                                static_cast<std::uint64_t>(fault),
-                                static_cast<std::uint64_t>(ecc),
-                                kCacheVersion};
-  h.update(nums, sizeof(nums));
-  if (const sentinel::DetectOptions det = cfg.armor.resolvedDetect();
-      det.any()) {
-    const std::uint64_t sent[] = {kSentinelCacheVersion, det.cfc ? 1u : 0u,
-                                  det.addr ? 1u : 0u};
-    h.update(sent, sizeof(sent));
-  }
-  hashParetoBlocks(h, cfg.armor.resolvedDetect(), sample, pruneEnabled);
-  return cfg.cacheDir + "/exp_" + workload + "_" +
-         (cfg.level == opt::OptLevel::O0 ? "O0" : "O1") + "_" +
-         h.finish().hex().substr(0, 12) + ".camp";
-}
-
-/// Semantic campaign key for the shard result store. Unlike cachePath it
-/// excludes the injection count — points are drawn sequentially from
-/// Rng(seed), so a longer campaign's leading shards are byte-identical to a
-/// shorter one's and overlapping campaigns share entries — and excludes the
-/// replay interval under non-rollback strategies, where it is a pure
-/// performance knob (under rollback strategies checkpoint placement changes
-/// trial semantics, so there it stays in). threads/processes never enter.
-std::string storeKeyBase(const std::string& workload,
-                         const ExperimentConfig& cfg,
-                         std::uint64_t ckptInterval,
-                         core::RecoveryStrategy recover,
-                         std::uint64_t rollbackRingCap, FaultModel fault,
-                         vm::EccMode ecc, const pareto::SampleConfig& sample,
-                         bool pruneEnabled) {
-  Md5 h;
-  h.update("care-experiment-shards");
-  h.update(workload);
-  h.update(cfg.level == opt::OptLevel::O0 ? "O0" : "O1");
-  const std::uint64_t nums[] = {cfg.bits, cfg.seed,
-                                cfg.careOnSegv ? 1u : 0u,
-                                cfg.armor.requireNonLocalUse ? 1u : 0u,
-                                cfg.armor.maximalSlicing ? 1u : 0u,
-                                cfg.patchBaseFirst ? 1u : 0u,
-                                cfg.armor.inductionRecovery ? 1u : 0u,
-                                static_cast<std::uint64_t>(recover),
-                                rollbackRingCap,
-                                static_cast<std::uint64_t>(fault),
-                                static_cast<std::uint64_t>(ecc),
-                                kCacheVersion};
-  h.update(nums, sizeof(nums));
-  if (core::strategyRollsBack(recover)) {
-    const std::uint64_t ck[] = {ckptInterval};
-    h.update(ck, sizeof(ck));
-  }
-  if (const sentinel::DetectOptions det = cfg.armor.resolvedDetect();
-      det.any()) {
-    const std::uint64_t sent[] = {kSentinelCacheVersion, det.cfc ? 1u : 0u,
-                                  det.addr ? 1u : 0u};
-    h.update(sent, sizeof(sent));
-  }
-  hashParetoBlocks(h, cfg.armor.resolvedDetect(), sample, pruneEnabled);
-  return h.finish().hex();
-}
 
 void putInjectionResult(const InjectionResult& ir, ByteWriter& w,
                         bool withTimings) {
@@ -180,25 +70,19 @@ void putRecord(const InjectionRecord& rec, ByteWriter& w, bool withTimings) {
   if (rec.haveCare) putInjectionResult(rec.withCare, w, withTimings);
 }
 
-/// Serialize `r` into `w`. `withTimings` selects the on-disk cache format
-/// (wall-clock fields included) vs. the deterministic projection that the
-/// parallel ≡ serial guarantee is stated over.
+/// Serialize `r` into `w`. `withTimings` selects the full-fidelity record
+/// format (wall-clock fields included) vs. the deterministic projection
+/// that the parallel ≡ serial guarantee is stated over.
 void serializeResult(const ExperimentResult& r, ByteWriter& w,
                      bool withTimings) {
   w.u32(kCacheMagic);
-  w.u32(kCacheVersion);
+  w.u32(kExperimentCacheVersion);
   w.str(r.workload);
   w.u8(r.level == opt::OptLevel::O0 ? 0 : 1);
   w.u64(r.goldenInstrs);
   w.u32(static_cast<std::uint32_t>(r.records.size()));
   for (const InjectionRecord& rec : r.records)
     putRecord(rec, w, withTimings);
-}
-
-void writeResult(const ExperimentResult& r, const std::string& path) {
-  ByteWriter w;
-  serializeResult(r, w, /*withTimings=*/true);
-  w.writeFile(path);
 }
 
 void getInjectionResult(ByteReader& r, InjectionResult& ir) {
@@ -225,25 +109,6 @@ void getInjectionResult(ByteReader& r, InjectionResult& ir) {
   ir.replaySavedInstrs = r.u64();
   ir.outputMatchesGolden = r.u8() != 0;
   ir.careFailReason = r.str();
-}
-
-std::optional<ExperimentResult> readResult(const std::string& path) {
-  if (!std::filesystem::exists(path)) return std::nullopt;
-  try {
-    ByteReader r = ByteReader::fromFile(path);
-    if (r.u32() != kCacheMagic || r.u32() != kCacheVersion)
-      return std::nullopt;
-    ExperimentResult out;
-    out.workload = r.str();
-    out.level = r.u8() == 0 ? opt::OptLevel::O0 : opt::OptLevel::O1;
-    out.goldenInstrs = r.u64();
-    const std::uint32_t n = r.u32();
-    for (std::uint32_t i = 0; i < n; ++i)
-      out.records.push_back(readRecordBytes(r));
-    return out;
-  } catch (const Error&) {
-    return std::nullopt; // stale/corrupt cache: regenerate
-  }
 }
 
 } // namespace
@@ -447,6 +312,65 @@ std::vector<std::uint8_t> serializeDeterministicRecord(
   return w.data();
 }
 
+std::string campaignKey(const std::string& program, opt::OptLevel level,
+                        const core::ArmorOptions& armor, bool careOnSegv,
+                        const CampaignConfig& c) {
+  const sentinel::DetectOptions det = armor.resolvedDetect();
+  // Sampling changes the build only when detectors are armed, and only
+  // epoch % rate selects the armed sites (16@1 and 16@17 are one build).
+  pareto::SampleConfig sample = armor.resolvedDetectSample();
+  if (!det.any() || !sample.sampled()) sample = {};
+  ByteWriter w;
+  w.u32(kExperimentCacheVersion);
+  w.str(program);
+  w.str(c.entry);
+  w.u8(level == opt::OptLevel::O0 ? 0 : 1);
+  w.u8(armor.requireNonLocalUse ? 1 : 0);
+  w.u8(armor.maximalSlicing ? 1 : 0);
+  w.u8(armor.inductionRecovery ? 1 : 0);
+  w.u8(det.cfc ? 1 : 0);
+  w.u8(det.addr ? 1 : 0);
+  w.u64(sample.rate);
+  w.u64(sample.epoch % sample.rate);
+  w.u8(careOnSegv ? 1 : 0);
+  w.u64(c.seed);
+  w.u32(c.bitsToFlip);
+  w.u64(c.hangFactor);
+  w.u32(static_cast<std::uint32_t>(c.targetModules.size()));
+  for (std::int32_t m : c.targetModules) w.u32(static_cast<std::uint32_t>(m));
+  w.u8(static_cast<std::uint8_t>(c.patchTarget));
+  w.u8(static_cast<std::uint8_t>(c.recover));
+  w.u64(c.rollbackRingCap);
+  w.u8(static_cast<std::uint8_t>(c.fault));
+  w.u8(static_cast<std::uint8_t>(c.ecc));
+  w.u8(c.prune.enabled ? 1 : 0);
+  // Under a rollback strategy checkpoint placement is semantic: the replay
+  // interval, and the CARE_CKPT_INTERVAL that Campaign::profile spaces the
+  // rollback ring by. Elsewhere the interval is a pure performance knob.
+  if (core::strategyRollsBack(c.recover)) {
+    w.u64(c.checkpointEveryInstrs);
+    w.u64(ckptIntervalFromEnv(CampaignConfig::kCkptAuto));
+  }
+  Md5 h;
+  h.update(w.data().data(), w.size());
+  return h.finish().hex();
+}
+
+CampaignConfig campaignConfigFor(const ExperimentConfig& cfg) {
+  CampaignConfig c;
+  c.seed = cfg.seed;
+  c.bitsToFlip = cfg.bits;
+  c.hangFactor = 4;
+  c.checkpointEveryInstrs = cfg.ckptInterval;
+  c.recover = cfg.armor.resolvedRecover();
+  if (cfg.fault) c.fault = *cfg.fault;
+  if (cfg.ecc) c.ecc = *cfg.ecc;
+  if (cfg.prune) c.prune = *cfg.prune;
+  if (cfg.patchBaseFirst)
+    c.patchTarget = core::Safeguard::PatchTarget::BaseFirst;
+  return c;
+}
+
 ExperimentResult runExperiment(const workloads::Workload& w,
                                const ExperimentConfig& cfg,
                                CampaignTelemetry* telemetry) {
@@ -456,84 +380,52 @@ ExperimentResult runExperiment(const workloads::Workload& w,
   tel.workload = w.name;
   tel.level = cfg.level == opt::OptLevel::O0 ? "O0" : "O1";
 
-  // Resolve the auto interval sentinel against the environment here so the
-  // CARE_CKPT_INTERVAL value in effect lands in the cache key; the
-  // golden-length-derived default stays a sentinel (it is not known until
-  // the campaign profiles).
-  const std::uint64_t ckptInterval =
-      cfg.ckptInterval == CampaignConfig::kCkptAuto
-          ? ckptIntervalFromEnv(CampaignConfig::kCkptAuto)
-          : cfg.ckptInterval;
-  // Likewise resolve the recovery strategy and ring capacity here — both
-  // change rollback-trial semantics, so the env values in effect must land
-  // in the cache key (DESIGN.md §4f).
-  const core::RecoveryStrategy recover = cfg.armor.resolvedRecover();
-  const std::size_t ringCap = vm::rollbackRingFromEnv(8);
-  // Fault model and ECC mode are semantic; resolve the env knobs here so
-  // the values in effect land in both cache keys (DESIGN.md §4i).
-  const FaultModel fault =
-      cfg.fault ? *cfg.fault : faultModelFromEnv(FaultModel::Reg);
-  const vm::EccMode ecc =
-      cfg.ecc ? *cfg.ecc : vm::eccModeFromEnv(vm::EccMode::Off);
-  // Pareto knobs (DESIGN.md §4j): both semantic, both resolved here so the
-  // env values in effect land in the keys.
-  const pareto::SampleConfig sample = cfg.armor.resolvedDetectSample();
-  const pareto::PruneOptions prune =
-      cfg.prune ? *cfg.prune : pareto::pruneOptionsFromEnv({});
+  const CampaignConfig ccfg = campaignConfigFor(cfg);
+  ServiceConfig svc;
+  svc.processes = resolveProcesses(cfg.processes);
+  svc.threads = cfg.threads;
+  svc.storeDir = cfg.cacheDir;
+  svc.storeKey =
+      campaignKey(w.name, cfg.level, cfg.armor, cfg.careOnSegv, ccfg);
+  tel.fault = faultModelName(ccfg.fault);
+  tel.ecc = vm::eccModeName(ccfg.ecc);
+  tel.detectSample = pareto::sampleName(cfg.armor.resolvedDetectSample());
 
-  std::filesystem::create_directories(cfg.cacheDir);
-  const std::string path = cachePath(w.name, cfg, ckptInterval, recover,
-                                     ringCap, fault, ecc, sample,
-                                     prune.enabled);
-  tel.fault = faultModelName(fault);
-  tel.ecc = vm::eccModeName(ecc);
-  tel.detectSample = pareto::sampleName(sample);
-  const auto t0 = std::chrono::steady_clock::now();
-  if (auto cached = readResult(path)) {
-    tel.fromCache = true;
-    tel.trials = static_cast<int>(cached->records.size());
-    tel.wallSec =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    publishTelemetry(tel);
-    return std::move(*cached);
+  ExperimentResult out;
+  out.workload = w.name;
+  out.level = cfg.level;
+  // A campaign whose shards are all stored is served whole, without
+  // compiling or profiling. A pruned campaign stores its representatives,
+  // which are known only after profiling, so it always rebuilds (and then
+  // hits every shard).
+  if (!ccfg.prune.enabled) {
+    const auto t0 = std::chrono::steady_clock::now();
+    ResultStore::Probe p = ResultStore(svc.storeDir, svc.storeKey)
+                               .probe(cfg.injections, svc.shardSize);
+    if (p.hits > 0 && p.missing.empty()) {
+      tel.fromCache = true;
+      tel.trials = static_cast<int>(p.records.size());
+      tel.shards = tel.storeHits = p.hits;
+      tel.wallSec = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+      publishTelemetry(tel);
+      out.goldenInstrs = p.goldenInstrs;
+      out.records = std::move(p.records);
+      return out;
+    }
   }
 
   BuiltWorkload built = buildWorkload(w, cfg);
   tel.totalSites = static_cast<int>(built.cm.sentinelStats.totalSites());
   tel.sampledSites = static_cast<int>(built.cm.sentinelStats.armedSites());
-  CampaignConfig ccfg;
-  ccfg.seed = cfg.seed;
-  ccfg.bitsToFlip = cfg.bits;
-  ccfg.hangFactor = 4;
-  ccfg.checkpointEveryInstrs = ckptInterval;
-  ccfg.recover = recover;
-  ccfg.rollbackRingCap = ringCap;
-  ccfg.fault = fault;
-  ccfg.ecc = ecc;
-  ccfg.prune = prune;
-  if (cfg.patchBaseFirst)
-    ccfg.patchTarget = core::Safeguard::PatchTarget::BaseFirst;
   Campaign campaign(built.image.get(), ccfg);
   if (!campaign.profile()) raise("workload failed to profile: " + w.name);
-
-  ServiceConfig svc;
-  svc.processes = resolveProcesses(cfg.processes);
-  svc.threads = cfg.threads;
-  svc.storeDir = cfg.resultStore ? *cfg.resultStore : resultStoreDirFromEnv();
-  if (!svc.storeDir.empty())
-    svc.storeKey = storeKeyBase(w.name, cfg, ckptInterval, recover, ringCap,
-                                fault, ecc, sample, prune.enabled);
-
-  ExperimentResult out;
-  out.workload = w.name;
-  out.level = cfg.level;
   out.goldenInstrs = campaign.goldenInstrs();
   out.records =
       runCampaign(campaign, cfg.injections, cfg.seed, cfg.threads,
                   cfg.careOnSegv ? &built.artifacts : nullptr, &tel, &svc);
   publishTelemetry(tel);
-  writeResult(out, path);
   return out;
 }
 

@@ -3,9 +3,11 @@
 // Every table/figure bench needs the same expensive artifact: a seeded
 // injection campaign over a workload at a given opt level and bit-flip
 // count, optionally re-running each SIGSEGV injection with CARE attached.
-// runExperiment() produces that deterministically and caches the records on
-// disk (keyed by workload/level/bits/seed/count), so regenerating one table
-// doesn't re-pay for campaigns another table already ran.
+// runExperiment() produces that deterministically and keeps the records in
+// the shard result store under cfg.cacheDir (result_store.hpp), keyed by
+// campaignKey, so regenerating one table doesn't re-pay for campaigns
+// another table already ran, and a longer campaign resumes from a shorter
+// one's shards.
 #pragma once
 
 #include <array>
@@ -21,9 +23,8 @@
 
 namespace care::inject {
 
-/// Version of the on-disk record wire format. Participates in the .camp
-/// cache key, the shard result-store key, and carecc's store key: bumping
-/// it invalidates every serialized record everywhere at once.
+/// Version of the record wire format. Part of campaignKey: bumping it
+/// invalidates every stored shard at once.
 inline constexpr std::uint32_t kExperimentCacheVersion = 11;
 
 struct ExperimentConfig {
@@ -33,42 +34,36 @@ struct ExperimentConfig {
   int injections = 400;       // paper: 10000 (Tables 2-4) / 1000-2000 (Fig 7)
   bool careOnSegv = true;     // re-run SIGSEGV injections with CARE attached
   std::string cacheDir = "care_artifacts";
-  core::ArmorOptions armor;   // ablation knobs participate in the cache key
+  core::ArmorOptions armor;   // ablation knobs participate in the campaign key
   bool patchBaseFirst = false; // Safeguard patch-heuristic ablation
   /// Campaign worker threads: 0 = hardware_concurrency, 1 = legacy serial
   /// loop. A pure performance knob — the engine guarantees the records are
   /// identical for every value, so it is deliberately NOT part of the
-  /// disk-cache key (a serial-written cache serves parallel runs and vice
+  /// campaign key (a serial-written campaign serves parallel runs and vice
   /// versa).
   int threads = 0;
   /// Replay-cache segment length (DESIGN.md §4c): kCkptAuto resolves to
   /// CARE_CKPT_INTERVAL, then to goldenInstrs/64; 0 disables. Records are
-  /// bit-identical for every value, but unlike `threads` the *resolved*
-  /// interval IS part of the disk-cache key, so equivalence suites can hold
-  /// checkpointed and from-scratch results side by side in one cache dir.
+  /// bit-identical for every value, so like `threads` it stays out of the
+  /// campaign key — except under a rollback strategy, where checkpoint
+  /// placement is semantic (campaignKey).
   std::uint64_t ckptInterval = CampaignConfig::kCkptAuto;
   /// Forked worker processes (DESIGN.md §4g): kProcsAuto resolves
   /// CARE_PROCS, 0 = in-process engine. Like `threads`, a pure performance
-  /// knob — identical records for every value, NOT part of any cache key.
+  /// knob — identical records for every value, NOT part of the campaign key.
   int processes = kProcsAuto;
-  /// Shard result-store directory: nullopt resolves CARE_RESULT_STORE,
-  /// empty string forces the store off. Serving a shard from the store is
-  /// record-identical to recomputing it, so this too stays out of the
-  /// .camp cache key.
-  std::optional<std::string> resultStore;
   /// Fault model (DESIGN.md §4i): nullopt resolves CARE_FAULT (reg when
   /// unset). Semantic — changes every sampled point — so the *resolved*
-  /// model participates in the .camp cache key and the store key.
+  /// model participates in the campaign key.
   std::optional<FaultModel> fault;
   /// ECC protection on trial executors: nullopt resolves CARE_ECC (off
-  /// when unset). Semantic (changes outcomes), part of both cache keys.
+  /// when unset). Semantic (changes outcomes), part of the campaign key.
   std::optional<vm::EccMode> ecc;
   /// Equivalence-class campaign pruning (DESIGN.md §4j): nullopt resolves
   /// CARE_PRUNE / CARE_PRUNE_AUDIT. The group-expanded records are
-  /// deterministically byte-identical to the exhaustive campaign's, but the
-  /// cached full-fidelity stream shares timings within a group, so the
-  /// *enabled* bit joins both cache keys (auditK, a pure verification knob,
-  /// does not).
+  /// deterministically byte-identical to the exhaustive campaign's, but a
+  /// pruned campaign stores representative trials only, so the *enabled*
+  /// bit joins the campaign key (auditK, a pure verification knob, does not).
   std::optional<pareto::PruneOptions> prune;
 };
 
@@ -133,21 +128,44 @@ struct ExperimentResult {
   RecoveryPhases meanRecoveryPhases() const;
 };
 
-/// Compile `w` with CARE per cfg, then run (or load from cache) the
-/// campaign on cfg.threads workers. Throws care::Error if the workload
-/// cannot be profiled. When `telemetry` is non-null it receives the
-/// campaign's execution telemetry (also published to the process-wide log
-/// and the CARE_TELEMETRY sink, cache hits included).
+/// Compile `w` with CARE per cfg, then run the campaign on cfg.threads
+/// workers (or cfg.processes forked workers) through the result store
+/// rooted at cfg.cacheDir: stored shards are served, missing ones are
+/// computed and stored. An unpruned campaign whose shards are all stored
+/// is served whole without compiling or profiling (telemetry fromCache).
+/// Throws care::Error if the workload cannot be profiled. When `telemetry`
+/// is non-null it receives the campaign's execution telemetry (also
+/// published to the process-wide log and the CARE_TELEMETRY sink, cache
+/// hits included).
 ExperimentResult runExperiment(const workloads::Workload& w,
                                const ExperimentConfig& cfg,
                                CampaignTelemetry* telemetry = nullptr);
+
+/// The CampaignConfig runExperiment runs `cfg` with. Every CARE_* knob
+/// that `cfg` leaves open is resolved from the environment (through
+/// CampaignConfig's defaults and ArmorOptions::resolvedRecover).
+CampaignConfig campaignConfigFor(const ExperimentConfig& cfg);
+
+/// The one campaign identity: an MD5 hex digest over the canonical
+/// encoding of everything that changes a campaign's records — the program
+/// (a workload name, or a MiniC source text), the entry, the opt level, the
+/// resolved Armor build options (including the Sentinel detectors and
+/// their sample), careOnSegv, the record-changing CampaignConfig fields,
+/// the checkpoint interval only under a rollback strategy, and
+/// kExperimentCacheVersion. Threads, processes, backend, the prune audit
+/// count and the injection count stay out, so runs that differ only in
+/// those share stored shards. runExperiment and carecc both key the
+/// result store with it.
+std::string campaignKey(const std::string& program, opt::OptLevel level,
+                        const core::ArmorOptions& armor, bool careOnSegv,
+                        const CampaignConfig& campaign);
 
 /// Serialize the deterministic portion of a result — everything except the
 /// wall-clock microsecond fields (recoveryUsTotal / kernelUsTotal /
 /// rollbackUsTotal and the per-phase keyUs/loadUs/paramUs/patchUs totals),
 /// which vary between any two runs, serial or not. This byte stream is the
 /// statement of the parallel ≡ serial equivalence guarantee: it is
-/// identical for every `threads` value.
+/// identical for every `threads` value. It is not stored anywhere.
 std::vector<std::uint8_t> serializeDeterministic(const ExperimentResult& r);
 
 /// The same deterministic projection for a single record — the unit the
@@ -158,8 +176,8 @@ std::vector<std::uint8_t> serializeDeterministicRecord(
     const InjectionRecord& rec);
 
 /// Full-fidelity (timings included) record wire format, version
-/// kExperimentCacheVersion — the unit the .camp cache, the shard result
-/// store, and the multi-process service's pipe frames all carry.
+/// kExperimentCacheVersion — the unit the shard result store and the
+/// multi-process service's pipe frames both carry.
 /// readRecordBytes throws care::Error on truncation.
 void writeRecordBytes(const InjectionRecord& rec, ByteWriter& w);
 InjectionRecord readRecordBytes(ByteReader& r);

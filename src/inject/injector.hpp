@@ -136,7 +136,7 @@ struct CampaignConfig {
   std::uint64_t checkpointEveryInstrs = kCkptAuto;
   /// Safeguard recovery policy for CARE-attached trials (DESIGN.md §4f).
   /// Unlike the replay knob above this *does* change trial semantics for
-  /// rollback strategies, so it participates in the experiment cache key.
+  /// rollback strategies, so it participates in the campaign key.
   /// Default resolves CARE_RECOVER at construction (paper: repair only).
   core::RecoveryStrategy recover =
       core::recoverFromEnv(core::RecoveryStrategy::Repair);
@@ -144,24 +144,25 @@ struct CampaignConfig {
   /// entry checkpoint); default resolves CARE_ROLLBACK_RING.
   std::size_t rollbackRingCap = vm::rollbackRingFromEnv(8);
   /// What gets corrupted (DESIGN.md §4i); default resolves CARE_FAULT.
-  /// Semantic: participates in the experiment cache key.
+  /// Semantic: participates in the campaign key.
   FaultModel fault = faultModelFromEnv(FaultModel::Reg);
   /// ECC protection armed on every trial executor (never on the golden
   /// run, which is fault-free either way); default resolves CARE_ECC.
-  /// Semantic: participates in the experiment cache key.
+  /// Semantic: participates in the campaign key.
   vm::EccMode ecc = vm::eccModeFromEnv(vm::EccMode::Off);
   /// Equivalence-class campaign pruning (DESIGN.md §4j): group provably
   /// identical trials and run one representative per group, expanding its
   /// result to every member. The group-expanded deterministic records are
   /// byte-identical to the exhaustive campaign; `enabled` still joins the
-  /// cache/store keys (a pruned store shard holds representative trials,
-  /// and full-fidelity timings differ). Default resolves CARE_PRUNE /
+  /// campaign key (a pruned store shard holds representative trials, and
+  /// full-fidelity timings differ). Default resolves CARE_PRUNE /
   /// CARE_PRUNE_AUDIT.
   pareto::PruneOptions prune = pareto::pruneOptionsFromEnv({});
 };
 
 /// CARE_CKPT_INTERVAL parsed as a decimal instruction count, or `fallback`
-/// when the variable is unset or empty.
+/// when the variable is unset or empty; a malformed value throws
+/// care::Error.
 std::uint64_t ckptIntervalFromEnv(std::uint64_t fallback);
 
 /// Drives golden profiling, injection sampling, and injected runs over one

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -28,8 +29,9 @@ std::optional<std::vector<std::uint8_t>> readFileBytes(
 
 } // namespace
 
-ResultStore::ResultStore(std::string dir, std::string key)
-    : dir_(std::move(dir)), key_(std::move(key)) {
+ResultStore::ResultStore(std::string dir, std::string key,
+                         std::uint64_t goldenInstrs)
+    : dir_(std::move(dir)), key_(std::move(key)), goldenInstrs_(goldenInstrs) {
   if (dir_.empty() || key_.empty()) return;
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
@@ -42,11 +44,12 @@ std::string ResultStore::entryPath(int start, int count) const {
 }
 
 std::optional<std::vector<InjectionRecord>> ResultStore::load(
-    int start, int count) const {
+    int start, int count, std::uint64_t* goldenInstrs) const {
   if (!enabled_) return std::nullopt;
   auto bytes = readFileBytes(entryPath(start, count));
   // Shortest possible entry: header words + empty key + md5 trailer.
-  if (!bytes || bytes->size() < 4 + 4 + 4 + 4 + 4 + 16) return std::nullopt;
+  if (!bytes || bytes->size() < 4 + 4 + 4 + 8 + 4 + 4 + 16)
+    return std::nullopt;
   const std::size_t bodyLen = bytes->size() - 16;
   Md5 h;
   h.update(bytes->data(), bodyLen);
@@ -59,6 +62,8 @@ std::optional<std::vector<InjectionRecord>> ResultStore::load(
                                                static_cast<long>(bodyLen)));
     if (r.u32() != kMagic || r.u32() != kVersion) return std::nullopt;
     if (r.str() != key_) return std::nullopt; // digest-prefix collision
+    const std::uint64_t golden = r.u64();
+    if (goldenInstrs_ != 0 && golden != goldenInstrs_) return std::nullopt;
     if (r.u32() != static_cast<std::uint32_t>(start) ||
         r.u32() != static_cast<std::uint32_t>(count))
       return std::nullopt;
@@ -66,6 +71,7 @@ std::optional<std::vector<InjectionRecord>> ResultStore::load(
     out.reserve(static_cast<std::size_t>(count));
     for (int i = 0; i < count; ++i) out.push_back(readRecordBytes(r));
     if (!r.atEnd()) return std::nullopt;
+    if (goldenInstrs) *goldenInstrs = golden;
     return out;
   } catch (const Error&) {
     return std::nullopt; // truncated inside a record: miss, recompute
@@ -81,6 +87,7 @@ bool ResultStore::save(int start, int count,
   w.u32(kMagic);
   w.u32(kVersion);
   w.str(key_);
+  w.u64(goldenInstrs_);
   w.u32(static_cast<std::uint32_t>(start));
   w.u32(static_cast<std::uint32_t>(count));
   for (const InjectionRecord& rec : records) writeRecordBytes(rec, w);
@@ -103,6 +110,26 @@ bool ResultStore::save(int start, int count,
     return false;
   }
   return true;
+}
+
+ResultStore::Probe ResultStore::probe(int trials, int shardSize) const {
+  Probe p;
+  const int n = trials < 0 ? 0 : trials;
+  p.records.resize(static_cast<std::size_t>(n));
+  for (int s = 0, start = 0; start < n; ++s, start += shardSize) {
+    const int count = std::min(shardSize, n - start);
+    std::uint64_t golden = 0;
+    auto recs = load(start, count, &golden);
+    if (recs && p.hits > 0 && golden != p.goldenInstrs) recs.reset();
+    if (!recs) {
+      if (enabled_) ++p.misses;
+      p.missing.push_back(s);
+      continue;
+    }
+    if (p.hits++ == 0) p.goldenInstrs = golden;
+    std::move(recs->begin(), recs->end(), p.records.begin() + start);
+  }
+  return p;
 }
 
 } // namespace care::inject

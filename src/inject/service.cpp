@@ -12,14 +12,15 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <thread>
 
 #include "inject/experiment.hpp"
 #include "inject/result_store.hpp"
 #include "support/bytestream.hpp"
+#include "support/env.hpp"
 #include "support/md5.hpp"
 #include "support/shm.hpp"
 #include "support/trace.hpp"
@@ -557,23 +558,17 @@ private:
 
 int resolveProcesses(int requested) {
   int n = requested;
-  if (n == kProcsAuto) {
-    n = 0;
-    if (const char* e = std::getenv("CARE_PROCS"); e && *e)
-      n = std::atoi(e);
-  }
+  if (n == kProcsAuto)
+    n = static_cast<int>(
+        envDecimal("CARE_PROCS", 0, std::numeric_limits<int>::max()));
   return n < 0 ? 0 : n;
-}
-
-std::string resultStoreDirFromEnv() {
-  const char* e = std::getenv("CARE_RESULT_STORE");
-  return e ? std::string(e) : std::string();
 }
 
 std::vector<InjectionRecord> runShardedTrials(int trials, std::uint64_t seed,
                                               const ServiceConfig& svc,
                                               const TrialFn& fn,
-                                              CampaignTelemetry* telemetry) {
+                                              CampaignTelemetry* telemetry,
+                                              std::uint64_t goldenInstrs) {
   const bool storeOn = !svc.storeDir.empty() && !svc.storeKey.empty();
   const int procs = svc.processes < 0 ? 0 : svc.processes;
   if (!storeOn && procs <= 0)
@@ -585,29 +580,15 @@ std::vector<InjectionRecord> runShardedTrials(int trials, std::uint64_t seed,
   const Clock::time_point t0 = Clock::now();
   trace::Span span("campaign.shards", "campaign");
 
-  std::vector<InjectionRecord> records(static_cast<std::size_t>(n));
-  std::vector<std::uint8_t> executed(static_cast<std::size_t>(n), 0);
-  std::vector<std::uint8_t> shardDone(static_cast<std::size_t>(numShards), 0);
   const ResultStore store(storeOn ? svc.storeDir : std::string(),
-                          storeOn ? svc.storeKey : std::string());
-  int storeHits = 0;
-  int storeMisses = 0;
-  std::vector<int> missing;
-  for (int s = 0; s < numShards; ++s) {
-    const int start = s * shardSize;
-    const int count = std::min(shardSize, n - start);
-    if (store.enabled()) {
-      if (auto recs = store.load(start, count)) {
-        std::move(recs->begin(), recs->end(),
-                  records.begin() + start);
-        shardDone[static_cast<std::size_t>(s)] = 1;
-        ++storeHits;
-        continue;
-      }
-      ++storeMisses;
-    }
-    missing.push_back(s);
-  }
+                          storeOn ? svc.storeKey : std::string(),
+                          goldenInstrs);
+  ResultStore::Probe probe = store.probe(n, shardSize);
+  std::vector<InjectionRecord>& records = probe.records;
+  const std::vector<int>& missing = probe.missing;
+  std::vector<std::uint8_t> executed(static_cast<std::size_t>(n), 0);
+  std::vector<std::uint8_t> shardDone(static_cast<std::size_t>(numShards), 1);
+  for (int s : missing) shardDone[static_cast<std::size_t>(s)] = 0;
 
   double busySec = 0;
   int restarts = 0;
@@ -617,8 +598,8 @@ std::vector<InjectionRecord> runShardedTrials(int trials, std::uint64_t seed,
     runCfg.shardSize = shardSize;
     if (procs > 0) {
       Coordinator coord(n, seed, runCfg, fn, numShards, records, executed,
-                        shardDone, store, telemetry, storeHits, storeMisses,
-                        t0);
+                        shardDone, store, telemetry, probe.hits,
+                        probe.misses, t0);
       coord.run(missing);
       busySec = coord.busySec();
       restarts = coord.restarts();
@@ -648,16 +629,16 @@ std::vector<InjectionRecord> runShardedTrials(int trials, std::uint64_t seed,
     telemetry->processes = procs;
     telemetry->fromCache = false;
     telemetry->shards = numShards;
-    telemetry->storeHits = storeHits;
-    telemetry->storeMisses = storeMisses;
+    telemetry->storeHits = probe.hits;
+    telemetry->storeMisses = probe.misses;
     telemetry->workerRestarts = restarts;
     telemetry->shardsRequeued = requeued;
     telemetry->wallSec = secondsSince(t0);
     telemetry->workerBusySec = busySec;
     aggregateRecordTelemetry(records, &executed, *telemetry);
-    if (procs > 0)
-      telemetry->utilization =
-          telemetry->wallSec > 0 ? busySec / (telemetry->wallSec * procs) : 0;
+    const int workers = procs > 0 ? procs : telemetry->threads;
+    telemetry->utilization =
+        telemetry->wallSec > 0 ? busySec / (telemetry->wallSec * workers) : 0;
     // Guaranteed closing progress event for the in-process sharded path
     // (the coordinator emits its own final event).
     if (procs <= 0) {
@@ -669,7 +650,7 @@ std::vector<InjectionRecord> runShardedTrials(int trials, std::uint64_t seed,
       publishTelemetry(p);
     }
   }
-  return records;
+  return std::move(probe.records);
 }
 
 } // namespace care::inject

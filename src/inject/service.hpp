@@ -41,12 +41,10 @@ namespace care::inject {
 inline constexpr int kProcsAuto = -1;
 
 /// Resolve a processes knob: kProcsAuto consults CARE_PROCS (unset/empty =
-/// 0); negative values clamp to 0. Like `threads`, a pure performance knob —
-/// records are identical for every value.
+/// 0; a malformed value throws care::Error); negative values clamp to 0.
+/// Like `threads`, a pure performance knob — records are identical for
+/// every value.
 int resolveProcesses(int requested);
-
-/// CARE_RESULT_STORE, or "" when unset (store off).
-std::string resultStoreDirFromEnv();
 
 /// How runShardedTrials executes a campaign. Built by runExperiment /
 /// carecc from the knobs; tests construct it directly.
@@ -59,7 +57,7 @@ struct ServiceConfig {
   int threads = 0;
   /// Result-store directory; empty = store off.
   std::string storeDir;
-  /// Semantic campaign key (storeKeyBase digest); empty = store off. Must
+  /// Semantic campaign key (a campaignKey digest); empty = store off. Must
   /// exclude the trial count and every pure performance knob, so
   /// overlapping campaigns share shards.
   std::string storeKey;
@@ -85,12 +83,15 @@ struct ServiceConfig {
 /// order. Dispatch: result-store hits are served from disk; remaining
 /// shards run on forked workers (svc.processes > 0) or the in-process
 /// engine; with the store off and processes == 0 this is exactly
-/// runTrialPool. Exceptions from a trial are (eventually — after the
-/// restart budget, for a deterministically-throwing trial under workers)
-/// rethrown on the caller's thread.
+/// runTrialPool. `goldenInstrs` is the campaign's golden instruction
+/// count, written into and checked against every store entry (0 =
+/// unknown). Exceptions from a trial are (eventually — after the restart
+/// budget, for a deterministically-throwing trial under workers) rethrown
+/// on the caller's thread.
 std::vector<InjectionRecord> runShardedTrials(int trials, std::uint64_t seed,
                                               const ServiceConfig& svc,
                                               const TrialFn& fn,
-                                              CampaignTelemetry* telemetry);
+                                              CampaignTelemetry* telemetry,
+                                              std::uint64_t goldenInstrs = 0);
 
 } // namespace care::inject

@@ -1,7 +1,9 @@
 #include "pareto/prune.hpp"
 
 #include <cstdlib>
+#include <limits>
 
+#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace care::pareto {
@@ -13,15 +15,9 @@ bool parsePruneFlag(const std::string& s) {
 }
 
 int parsePruneAudit(const std::string& s) {
-  if (!s.empty() && s.size() <= 9) {
-    int v = 0;
-    bool ok = true;
-    for (char c : s) {
-      if (c < '0' || c > '9') { ok = false; break; }
-      v = v * 10 + (c - '0');
-    }
-    if (ok) return v;
-  }
+  if (const auto v = parseDecimal(s);
+      v && *v <= static_cast<std::uint64_t>(std::numeric_limits<int>::max()))
+    return static_cast<int>(*v);
   raise("unknown prune-audit count '" + s +
         "' (expected a non-negative integer, e.g. 0 or 8)");
 }

@@ -18,8 +18,8 @@
 // site population — every site is armed in exactly one epoch per rotation.
 // Two builds with the same module and the same resolved SampleConfig arm
 // the same sites, which is what keeps sampled campaigns cacheable: the
-// resolved (rate, epoch) pair is a semantic experiment parameter and joins
-// the cache key, the shard-store key and telemetry (experiment.cpp).
+// resolved (rate, epoch % rate) pair is a semantic experiment parameter and
+// joins the campaign key and telemetry (campaignKey, experiment.cpp).
 //
 // Site granularity (sentinel.cpp): CFC arms whole functions (a signature
 // scheme is only sound if every block of the function participates), ADDR

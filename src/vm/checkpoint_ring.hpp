@@ -70,7 +70,7 @@ private:
 };
 
 /// CARE_ROLLBACK_RING parsed as a decimal capacity, or `fallback` when the
-/// variable is unset or empty.
+/// variable is unset or empty; a malformed value throws care::Error.
 std::size_t rollbackRingFromEnv(std::size_t fallback);
 
 /// Drive `ex` from `entry` to completion (or trap / finalBudget), pausing

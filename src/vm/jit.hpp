@@ -57,9 +57,9 @@ class Memory;
 bool jitAvailable();
 
 /// CARE_JIT_THRESHOLD parsed as a decimal touch count (a function is
-/// compiled on its Nth driver touch), or `fallback` when unset/empty.
-/// 0 is clamped to 1; a huge value effectively pins the mixed-mode driver
-/// to the interpreter.
+/// compiled on its Nth driver touch), or `fallback` when unset/empty; a
+/// malformed value throws care::Error. 0 is clamped to 1; a huge value
+/// effectively pins the mixed-mode driver to the interpreter.
 std::uint64_t jitThresholdFromEnv(std::uint64_t fallback = 1);
 
 /// Emit the "executable mappings unavailable, falling back" warning —

@@ -1,5 +1,5 @@
 // Template-JIT backend tests (DESIGN.md §4h): backend selection and its
-// error path, compilation of hot functions, exact-budget deopt at every
+// error path, the strict numeric CARE_* knob parser, compilation of hot functions, exact-budget deopt at every
 // block boundary shape (block entry, mid-block, last instruction of a
 // compiled block), ResumePoint equivalence and cross-backend restore, the
 // armed-window handoff back to native code after an injection fires, and
@@ -10,9 +10,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 
 #include "inject/experiment.hpp"
 #include "support/error.hpp"
+#include "vm/checkpoint_ring.hpp"
 #include "testutil.hpp"
 #include "vm/jit.hpp"
 #include "workloads/workloads.hpp"
@@ -57,6 +59,52 @@ TEST(InterpSelect, BogusCareInterpEnvIsAHardError) {
   ::setenv("CARE_INTERP", "jit", 1);
   EXPECT_EQ(vm::defaultInterp(), vm::InterpKind::Jit);
   ::unsetenv("CARE_INTERP");
+}
+
+// The numeric CARE_* knobs share one strict decimal parser: garbage and
+// trailing characters are hard errors naming the variable, so "abc" cannot
+// silently disable the replay cache and "5k" cannot read as 5. Unset and
+// empty still give the fallback.
+TEST(EnvKnobs, MalformedNumericKnobsAreHardErrors) {
+  struct Knob {
+    const char* name;
+    std::function<std::uint64_t()> read; // fallback 7 where it takes one
+    std::uint64_t fallback;
+  };
+  const Knob kKnobs[] = {
+      {"CARE_CKPT_INTERVAL", [] { return inject::ckptIntervalFromEnv(7); }, 7},
+      {"CARE_ROLLBACK_RING", [] { return vm::rollbackRingFromEnv(7); }, 7},
+      {"CARE_PROCS",
+       [] {
+         return static_cast<std::uint64_t>(
+             inject::resolveProcesses(inject::kProcsAuto));
+       },
+       0},
+      {"CARE_JIT_THRESHOLD", [] { return vm::jitThresholdFromEnv(7); }, 7},
+  };
+  for (const Knob& k : kKnobs) {
+    const char* prev = std::getenv(k.name);
+    const std::string saved = prev ? prev : "";
+    for (const char* bad :
+         {"abc", "5k", "12 ", " 12", "-3", "+3", "1e3", "0x10",
+          "99999999999999999999999"}) {
+      ::setenv(k.name, bad, 1);
+      try {
+        (void)k.read();
+        ADD_FAILURE() << k.name << " accepted '" << bad << "'";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(k.name), std::string::npos)
+            << e.what();
+      }
+    }
+    ::setenv(k.name, "12", 1);
+    EXPECT_EQ(k.read(), 12u) << k.name;
+    ::setenv(k.name, "", 1);
+    EXPECT_EQ(k.read(), k.fallback) << k.name;
+    ::unsetenv(k.name);
+    EXPECT_EQ(k.read(), k.fallback) << k.name;
+    if (prev) ::setenv(k.name, saved.c_str(), 1);
+  }
 }
 
 // --- compilation & golden equivalence ---------------------------------------
@@ -335,6 +383,7 @@ TEST(Jit, FiveWorkloadCampaignSerializesIdenticallyToFast) {
     inject::CampaignTelemetry fastTel;
     const inject::ExperimentResult fast = runExperiment(*w, cfg, &fastTel);
     ASSERT_FALSE(fastTel.fromCache) << w->name;
+    ASSERT_EQ(fastTel.storeHits, 0) << w->name;
 
     cfg.cacheDir = "care_test_artifacts/jit_camp_jit";
     std::filesystem::remove_all(cfg.cacheDir);
@@ -342,6 +391,7 @@ TEST(Jit, FiveWorkloadCampaignSerializesIdenticallyToFast) {
     inject::CampaignTelemetry jitTel;
     const inject::ExperimentResult jit = runExperiment(*w, cfg, &jitTel);
     ASSERT_FALSE(jitTel.fromCache) << w->name;
+    ASSERT_EQ(jitTel.storeHits, 0) << w->name;
     EXPECT_EQ(jitTel.interp, "jit") << w->name;
 
     EXPECT_EQ(inject::serializeDeterministic(jit),
@@ -376,14 +426,18 @@ TEST(Jit, MemoryFaultCampaignSerializesIdenticallyToFast) {
     cfg.cacheDir = "care_test_artifacts/jit_memfault_fast";
     std::filesystem::remove_all(cfg.cacheDir);
     vm::setDefaultInterp(vm::InterpKind::Fast);
+    inject::CampaignTelemetry fastTel, jitTel;
     const inject::ExperimentResult fast =
-        runExperiment(workloads::hpccg(), cfg);
+        runExperiment(workloads::hpccg(), cfg, &fastTel);
 
     cfg.cacheDir = "care_test_artifacts/jit_memfault_jit";
     std::filesystem::remove_all(cfg.cacheDir);
     vm::setDefaultInterp(vm::InterpKind::Jit);
-    const inject::ExperimentResult jit = runExperiment(workloads::hpccg(), cfg);
+    const inject::ExperimentResult jit =
+        runExperiment(workloads::hpccg(), cfg, &jitTel);
 
+    EXPECT_FALSE(fastTel.fromCache || jitTel.fromCache) << tag;
+    EXPECT_EQ(fastTel.storeHits + jitTel.storeHits, 0) << tag;
     EXPECT_EQ(inject::serializeDeterministic(jit),
               inject::serializeDeterministic(fast))
         << tag;

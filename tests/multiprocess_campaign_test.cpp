@@ -11,6 +11,7 @@
 
 #include "inject/experiment.hpp"
 #include "inject/service.hpp"
+#include "store_testutil.hpp"
 #include "support/rng.hpp"
 #include "workloads/workloads.hpp"
 
@@ -30,7 +31,6 @@ ExperimentConfig baseConfig(const std::string& dir) {
   cfg.armor.detectAuto = false;  // pin: CARE_DETECT must not leak in
   cfg.armor.recoverAuto = false; // pin: CARE_RECOVER must not leak in
   cfg.processes = 0;             // pin: CARE_PROCS resolved per test
-  cfg.resultStore = "";          // pin: CARE_RESULT_STORE off per default
   return cfg;
 }
 
@@ -41,13 +41,15 @@ TEST(MultiprocessCampaign, ForkedWorkersMatchSerialByteForByte) {
     const std::string dir =
         "care_test_artifacts/mp_match_" + w->name;
     std::filesystem::remove_all(dir);
-    const auto serial = runExperiment(*w, baseConfig(dir));
+    inject::CampaignTelemetry serialTel;
+    const auto serial = runExperiment(*w, baseConfig(dir), &serialTel);
+    expectComputed(serialTel);
     std::filesystem::remove_all(dir); // force a fresh, non-cached rerun
     auto cfg = baseConfig(dir);
     cfg.processes = 3;
     inject::CampaignTelemetry tel;
     const auto forked = runExperiment(*w, cfg, &tel);
-    EXPECT_FALSE(tel.fromCache);
+    expectComputed(tel);
     EXPECT_EQ(tel.processes, 3);
     EXPECT_GT(tel.shards, 0);
     EXPECT_EQ(tel.trials, 48);
@@ -74,6 +76,8 @@ TEST(MultiprocessCampaign, DetectorsAndRollbackArmedStayBitIdentical) {
   auto forkedCfg = armed;
   forkedCfg.processes = 4;
   const auto forked = runExperiment(workloads::gtcp(), forkedCfg, &telF);
+  expectComputed(telS);
+  expectComputed(telF);
   EXPECT_EQ(inject::serializeDeterministic(serial),
             inject::serializeDeterministic(forked));
   // Semantic telemetry survives the pipe trip: both engines agree on what
@@ -88,11 +92,15 @@ TEST(MultiprocessCampaign, DetectorsAndRollbackArmedStayBitIdentical) {
 TEST(MultiprocessCampaign, OneProcessEqualsInProcessEngine) {
   const std::string dir = "care_test_artifacts/mp_one";
   std::filesystem::remove_all(dir);
-  const auto inproc = runExperiment(workloads::gtcp(), baseConfig(dir));
+  inject::CampaignTelemetry inprocTel, oneProcTel;
+  const auto inproc =
+      runExperiment(workloads::gtcp(), baseConfig(dir), &inprocTel);
   std::filesystem::remove_all(dir);
   auto cfg = baseConfig(dir);
   cfg.processes = 1;
-  const auto oneProc = runExperiment(workloads::gtcp(), cfg);
+  const auto oneProc = runExperiment(workloads::gtcp(), cfg, &oneProcTel);
+  expectComputed(inprocTel);
+  expectComputed(oneProcTel);
   EXPECT_EQ(inject::serializeDeterministic(inproc),
             inject::serializeDeterministic(oneProc));
 }
@@ -194,16 +202,20 @@ TEST(MultiprocessCampaign, EveryFaultModelStaysByteIdenticalAcrossEngines) {
     cfg.injections = 24;
     cfg.fault = model;
     cfg.ecc = vm::EccMode::Secded;
-    const auto serial = runExperiment(workloads::gtcp(), cfg);
+    inject::CampaignTelemetry serialTel, threadedTel, tel;
+    const auto serial = runExperiment(workloads::gtcp(), cfg, &serialTel);
     std::filesystem::remove_all(dir);
     auto threadedCfg = cfg;
     threadedCfg.threads = 3;
-    const auto threaded = runExperiment(workloads::gtcp(), threadedCfg);
+    const auto threaded =
+        runExperiment(workloads::gtcp(), threadedCfg, &threadedTel);
     std::filesystem::remove_all(dir);
     auto forkedCfg = cfg;
     forkedCfg.processes = 2;
-    inject::CampaignTelemetry tel;
     const auto forked = runExperiment(workloads::gtcp(), forkedCfg, &tel);
+    expectComputed(serialTel);
+    expectComputed(threadedTel);
+    expectComputed(tel);
     EXPECT_EQ(tel.fault, inject::faultModelName(model));
     EXPECT_EQ(tel.ecc, "secded");
     EXPECT_EQ(inject::serializeDeterministic(serial),
@@ -216,23 +228,42 @@ TEST(MultiprocessCampaign, EveryFaultModelStaysByteIdenticalAcrossEngines) {
 }
 
 TEST(MultiprocessCampaign, ResultStoreComposesWithForkedWorkers) {
+  // Forked workers write the store under cacheDir as they commit shards;
+  // a grown rerun on forked workers resumes from those shards, and the
+  // records match a serial campaign computed from scratch.
   const std::string dir = "care_test_artifacts/mp_store";
-  const std::string storeDir = dir + "/store";
-  const std::string cacheDir = dir + "/cache";
   std::filesystem::remove_all(dir);
-  auto cfg = baseConfig(cacheDir);
+  auto cfg = baseConfig(dir);
   cfg.processes = 2;
-  cfg.resultStore = storeDir;
-  inject::CampaignTelemetry cold, warm;
+  cfg.prune = pareto::PruneOptions{}; // pin: shard counts below are exact
+  inject::CampaignTelemetry cold, grown, warm;
   const auto first = runExperiment(workloads::gtcp(), cfg, &cold);
-  EXPECT_EQ(cold.storeHits, 0);
-  EXPECT_GT(cold.storeMisses, 0);
-  std::filesystem::remove_all(cacheDir); // drop the .camp cache, keep store
-  const auto second = runExperiment(workloads::gtcp(), cfg, &warm);
-  EXPECT_FALSE(warm.fromCache);
-  EXPECT_EQ(warm.storeMisses, 0);
-  EXPECT_EQ(warm.storeHits, warm.shards);
-  EXPECT_EQ(inject::serializeDeterministic(first),
+  expectComputed(cold);
+  EXPECT_EQ(cold.processes, 2);
+  EXPECT_EQ(cold.storeMisses, 3); // 48 trials = 3 shards of 16
+  cfg.injections = 80;
+  const auto second = runExperiment(workloads::gtcp(), cfg, &grown);
+  EXPECT_FALSE(grown.fromCache);
+  EXPECT_EQ(grown.processes, 2);
+  EXPECT_EQ(grown.storeHits, 3);
+  EXPECT_EQ(grown.storeMisses, 2);
+  const auto third = runExperiment(workloads::gtcp(), cfg, &warm);
+  EXPECT_TRUE(warm.fromCache);
+  EXPECT_EQ(warm.storeHits, 5);
+  EXPECT_EQ(inject::serializeDeterministic(second),
+            inject::serializeDeterministic(third));
+  for (std::size_t i = 0; i < first.records.size(); ++i)
+    EXPECT_EQ(inject::serializeDeterministicRecord(first.records[i]),
+              inject::serializeDeterministicRecord(second.records[i]))
+        << "trial " << i;
+
+  std::filesystem::remove_all(dir);
+  auto serialCfg = cfg;
+  serialCfg.processes = 0;
+  inject::CampaignTelemetry serialTel;
+  const auto serial = runExperiment(workloads::gtcp(), serialCfg, &serialTel);
+  expectComputed(serialTel);
+  EXPECT_EQ(inject::serializeDeterministic(serial),
             inject::serializeDeterministic(second));
 }
 

@@ -124,6 +124,7 @@ TEST_F(ResultStoreTest, VersionMismatchIsAMiss) {
   w.u32(ResultStore::kMagic);
   w.u32(ResultStore::kVersion + 1);
   w.str(kKey);
+  w.u64(0);
   w.u32(0);
   w.u32(4);
   for (const InjectionRecord& r : sampleRecords(4, 0))
@@ -147,6 +148,39 @@ TEST_F(ResultStoreTest, WrongKeyEntryIsAMiss) {
   ASSERT_TRUE(a.save(0, 4, sampleRecords(4, 0)));
   EXPECT_TRUE(a.load(0, 4).has_value());
   EXPECT_FALSE(b.load(0, 4).has_value());
+}
+
+TEST_F(ResultStoreTest, GoldenCountMismatchIsAMiss) {
+  // Entries carry the campaign's golden instruction count. A store that
+  // knows the count only accepts matching entries; one that does not (0,
+  // before profiling) accepts any and reports the stored count.
+  ResultStore writer(kDir, kKey, 123456);
+  ASSERT_TRUE(writer.save(0, 4, sampleRecords(4, 0)));
+  EXPECT_TRUE(writer.load(0, 4).has_value());
+  EXPECT_FALSE(ResultStore(kDir, kKey, 654321).load(0, 4).has_value());
+  std::uint64_t golden = 0;
+  EXPECT_TRUE(ResultStore(kDir, kKey).load(0, 4, &golden).has_value());
+  EXPECT_EQ(golden, 123456u);
+}
+
+TEST_F(ResultStoreTest, ProbeServesHitsAndListsMisses) {
+  ResultStore writer(kDir, kKey, 99);
+  ASSERT_TRUE(writer.save(0, 4, sampleRecords(4, 0)));
+  ASSERT_TRUE(writer.save(8, 2, sampleRecords(2, 8)));
+  // A shard stored under another golden count is a miss, even for a probe
+  // that does not know the count up front: all hits must agree.
+  ASSERT_TRUE(ResultStore(kDir, kKey, 7).save(4, 4, sampleRecords(4, 4)));
+  const ResultStore::Probe p = ResultStore(kDir, kKey).probe(10, 4);
+  EXPECT_EQ(p.hits, 2);
+  EXPECT_EQ(p.misses, 1);
+  EXPECT_EQ(p.missing, std::vector<int>{1});
+  EXPECT_EQ(p.goldenInstrs, 99u);
+  ASSERT_EQ(p.records.size(), 10u);
+  EXPECT_EQ(p.records[9].point.nth, 9u);
+  // A disabled store misses nothing and serves nothing.
+  const ResultStore::Probe off = ResultStore("", kKey).probe(10, 4);
+  EXPECT_EQ(off.hits + off.misses, 0);
+  EXPECT_EQ(off.missing, (std::vector<int>{0, 1, 2}));
 }
 
 TEST_F(ResultStoreTest, TrailingGarbageIsAMiss) {

@@ -14,6 +14,7 @@
 #include "ir/parse.hpp"
 #include "ir/printer.hpp"
 #include "sentinel/sentinel.hpp"
+#include "store_testutil.hpp"
 #include "support/md5.hpp"
 #include "testutil.hpp"
 #include "workloads/workloads.hpp"
@@ -237,6 +238,8 @@ TEST(Sentinel, DetectorCampaignCacheRoundTrips) {
   std::filesystem::remove_all(dir);
   auto cfg = campaignConfig(dir, opt::OptLevel::O0);
   cfg.armor.detect = bothDetectors();
+  cfg.prune = pareto::PruneOptions{}; // pin: only unpruned reruns are served
+                                      // whole (fromCache)
   const auto fresh = runExperiment(workloads::gtcp(), cfg);
   inject::CampaignTelemetry tel;
   const auto cached = runExperiment(workloads::gtcp(), cfg, &tel);
@@ -254,10 +257,7 @@ TEST(Sentinel, ArmedAndDisarmedCampaignsGetDistinctCaches) {
   on.armor.detect = bothDetectors();
   runExperiment(workloads::minimd(), off);
   runExperiment(workloads::minimd(), on);
-  int files = 0;
-  for (const auto& e : std::filesystem::directory_iterator(dir))
-    if (e.path().extension() == ".camp") ++files;
-  EXPECT_EQ(files, 2);
+  EXPECT_EQ(storedCampaignKeys(dir), 2);
 }
 
 // With detectors off, every campaign's deterministic byte stream must be

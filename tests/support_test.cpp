@@ -9,6 +9,7 @@
 
 #include "support/bitutil.hpp"
 #include "support/bytestream.hpp"
+#include "support/env.hpp"
 #include "support/md5.hpp"
 #include "support/rng.hpp"
 #include "support/shm.hpp"
@@ -125,6 +126,15 @@ TEST(ByteStream, MissingFileThrows) {
 }
 
 // --- RNG ---------------------------------------------------------------------
+
+TEST(Env, ParseDecimalIsStrict) {
+  EXPECT_EQ(parseDecimal("0"), 0u);
+  EXPECT_EQ(parseDecimal("5000"), 5000u);
+  EXPECT_EQ(parseDecimal("18446744073709551615"), ~0ull);
+  for (const char* bad : {"", "abc", "5k", " 5", "5 ", "-1", "+1", "1.5",
+                          "0x10", "18446744073709551616"})
+    EXPECT_FALSE(parseDecimal(bad).has_value()) << bad;
+}
 
 TEST(Rng, DeterministicFromSeed) {
   Rng a(123), b(123);

@@ -10,6 +10,7 @@
 //
 // Exit code: the program's exit code for `run`, 0/1 for the other modes.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -24,7 +25,6 @@
 #include "pareto/prune.hpp"
 #include "pareto/sample.hpp"
 #include "sentinel/sentinel.hpp"
-#include "support/md5.hpp"
 #include "support/rng.hpp"
 #include "support/trace.hpp"
 #include "vm/checkpoint_ring.hpp"
@@ -134,19 +134,25 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
+core::ArmorOptions armorOptions(const Args& a) {
+  core::ArmorOptions armor;
+  armor.inductionRecovery = a.inductionRecovery;
+  if (a.detectGiven) {
+    armor.detect = a.detect;
+    armor.detectAuto = false;
+  }
+  if (a.sampleGiven) {
+    armor.detectSample = a.sample;
+    armor.detectSampleAuto = false;
+  }
+  return armor;
+}
+
 core::CompiledModule compileFile(const Args& a) {
   core::CompileOptions opts;
   opts.optLevel = a.level;
   opts.artifactDir = a.artifactDir;
-  opts.armor.inductionRecovery = a.inductionRecovery;
-  if (a.detectGiven) {
-    opts.armor.detect = a.detect;
-    opts.armor.detectAuto = false;
-  }
-  if (a.sampleGiven) {
-    opts.armor.detectSample = a.sample;
-    opts.armor.detectSampleAuto = false;
-  }
+  opts.armor = armorOptions(a);
   return core::careCompile({{a.file, slurp(a.file)}}, "app", opts);
 }
 
@@ -304,57 +310,16 @@ int cmdInject(const Args& a) {
   inject::ServiceConfig svc;
   svc.processes = inject::resolveProcesses(a.procs);
   svc.threads = a.threads;
-  svc.storeDir =
-      a.resultStoreGiven ? a.resultStore : inject::resultStoreDirFromEnv();
-  if (!svc.storeDir.empty()) {
-    // Semantic store key for an ad-hoc program: the source text plus every
-    // knob that changes trial records — but not the trial count or any
-    // performance knob, so longer reruns resume from shorter ones.
-    core::ArmorOptions armor;
-    armor.inductionRecovery = a.inductionRecovery;
-    if (a.detectGiven) {
-      armor.detect = a.detect;
-      armor.detectAuto = false;
-    }
-    if (a.sampleGiven) {
-      armor.detectSample = a.sample;
-      armor.detectSampleAuto = false;
-    }
-    const sentinel::DetectOptions det = armor.resolvedDetect();
-    const pareto::SampleConfig sample = armor.resolvedDetectSample();
-    Md5 h;
-    h.update("carecc-inject");
-    h.update(slurp(a.file));
-    h.update(a.entry);
-    const std::uint64_t nums[] = {
-        static_cast<std::uint64_t>(inject::kExperimentCacheVersion),
-        a.level == opt::OptLevel::O0 ? 0u : 1u,
-        a.seed,
-        a.withCare ? 1u : 0u,
-        a.inductionRecovery ? 1u : 0u,
-        det.cfc ? 1u : 0u,
-        det.addr ? 1u : 0u,
-        static_cast<std::uint64_t>(ccfg.recover),
-        ccfg.rollbackRingCap,
-        static_cast<std::uint64_t>(ccfg.fault),
-        static_cast<std::uint64_t>(ccfg.ecc)};
-    h.update(nums, sizeof(nums));
-    if (core::strategyRollsBack(ccfg.recover)) {
-      const std::uint64_t ck[] = {campaign.checkpointInterval()};
-      h.update(ck, sizeof(ck));
-    }
-    // Sampled builds run different detector subsets (when armed), and
-    // pruned shards carry representative trials; both must not collide
-    // with unsampled/unpruned entries. Rate-1 / prune-off keys stay
-    // byte-identical to their pre-pareto values.
-    if (det.any() && sample.rate > 1) {
-      const std::uint64_t sm[] = {sample.rate, sample.epoch % sample.rate};
-      h.update("detect-sample");
-      h.update(sm, sizeof(sm));
-    }
-    if (campaign.pruneOptions().enabled) h.update("prune");
-    svc.storeKey = h.finish().hex();
+  if (a.resultStoreGiven) {
+    svc.storeDir = a.resultStore;
+  } else if (const char* e = std::getenv("CARE_RESULT_STORE")) {
+    svc.storeDir = e;
   }
+  // Keyed like runExperiment's campaigns, with the source text as the
+  // program identity: longer reruns resume from shorter ones.
+  if (!svc.storeDir.empty())
+    svc.storeKey = inject::campaignKey(slurp(a.file), a.level,
+                                       armorOptions(a), a.withCare, ccfg);
 
   inject::CampaignTelemetry tel;
   tel.workload = a.file;
