@@ -186,6 +186,11 @@ public:
   std::uint64_t instrCount() const { return instrCount_; }
   /// PC of the instruction currently being executed.
   std::uint64_t currentPC() const;
+  /// Instructions the jit backend's driver retired on the fast interpreter
+  /// (cold ops, shadowed-page accesses, deopts, armed windows, profiling
+  /// and traced runs, hosts without the JIT), cumulative over this
+  /// executor's runs. Counted per interpreter leg, not per instruction.
+  std::uint64_t jitInterpretedInstrs() const { return jitInterpInstrs_; }
 
 private:
   struct Frame {
@@ -218,6 +223,10 @@ private:
   /// min(budget_, stopAt_). ~0ull = no bound.
   std::uint64_t stopAt_ = ~0ull;
   TrapHook trapHook_;
+  std::uint64_t jitInterpInstrs_ = 0;
+  /// Instructions trap hooks rewound inside the fast loop (rollbacks);
+  /// runJit adds them back so its per-leg tally stays exact.
+  std::uint64_t interpRewound_ = 0;
 
   // Current position.
   std::int32_t curModule_ = 0, curFunc_ = 0, curInstr_ = 0;

@@ -832,7 +832,9 @@ trapped:
                     image_->pcOf(m, fi, static_cast<std::int32_t>(d - code)),
                     trapAddr};
     if (trapHook_) {
+      const std::uint64_t atTrap = instrCount_;
       if (trapHook_(*this, trap) == TrapAction::Retry) {
+        if (instrCount_ < atTrap) interpRewound_ += atTrap - instrCount_;
         RELOAD();
         if constexpr (!kInstrumented) {
           // A hook may have enabled profiling or armed an injection; the

@@ -3,8 +3,13 @@
 // run() under InterpKind::Jit alternates between native execution of
 // compiled code and the fast interpreter:
 //
-//  * profiling, ECC-armed and access-traced runs stay on the fast
-//    interpreter entirely — they need its per-instruction checks;
+//  * profiling and access-traced runs stay on the fast interpreter
+//    entirely — they need its per-instruction checks;
+//  * ECC-armed runs run natively: a SECDED-shadowed page never enters the
+//    software TLB (memory.hpp), so the only accesses that leave native
+//    code are the ones that hit a shadowed page — the TLB-miss stub exits
+//    through ColdOp and the interpreter's typed path verifies, corrects or
+//    traps that one instruction;
 //  * an armed injection runs only its armed window on the instrumented
 //    fast loop (runFastImpl<true>): when the injection fires and disarms,
 //    that loop syncs state and hands back (switchVariant), and the
@@ -39,16 +44,26 @@ constexpr std::uint64_t kBurst = 65536;
 } // namespace
 
 RunResult Executor::runJit() {
-  // Profiling counts and ECC-armed or access-traced memory need per-access
-  // checks the emitted templates don't carry; the fast interpreter provides
-  // them with identical results.
-  if (profiling_ || mem_.eccEnabled() || mem_.accessTraceActive())
-    return runFast();
+  // Every interpreter leg below goes through here, which tallies what it
+  // retires: the count's advance plus whatever a trap hook rewound inside
+  // the leg (a rollback re-executes on the interpreter).
+  const auto interpret = [this](auto leg) {
+    const std::uint64_t before = instrCount_, rewound = interpRewound_;
+    const RunResult r = leg();
+    jitInterpInstrs_ += instrCount_ + (interpRewound_ - rewound) - before;
+    return r;
+  };
+  const auto fast = [this] { return runFast(); };
+
+  // Profiling counts and access-traced memory need per-access hooks the
+  // emitted templates don't carry; the fast interpreter provides them with
+  // identical results.
+  if (profiling_ || mem_.accessTraceActive()) return interpret(fast);
 
   JitImage& jimg = image_->jit();
   if (!jimg.usable()) {
     warnJitUnavailableOnce();
-    return runFast();
+    return interpret(fast);
   }
 
   RunResult res;
@@ -74,8 +89,7 @@ RunResult Executor::runJit() {
     }
     // A trap hook may have enabled instrumentation mid-run; hand the rest
     // of the run over, like the plain fast-loop variant does.
-    if (profiling_ || mem_.eccEnabled() || mem_.accessTraceActive())
-      return runFast();
+    if (profiling_ || mem_.accessTraceActive()) return interpret(fast);
     if (injArmed_) {
       // Armed window: the instrumented loop watches for the nth execution.
       // It returns with switchVariant set right after the injection fired
@@ -83,7 +97,8 @@ RunResult Executor::runJit() {
       // there. Any other return (budget, trap, done) ends the run exactly
       // as runFast() would.
       bool handoff = false;
-      RunResult r = runFastImpl<true>(&handoff);
+      RunResult r =
+          interpret([this, &handoff] { return runFastImpl<true>(&handoff); });
       if (handoff) continue;
       return r;
     }
@@ -97,7 +112,7 @@ RunResult Executor::runJit() {
       std::uint64_t burstStop = instrCount_ + kBurst;
       if (burstStop > stop) burstStop = stop;
       stopAt_ = burstStop;
-      RunResult r = runFast();
+      RunResult r = interpret(fast);
       stopAt_ = save;
       if (r.status == RunStatus::BudgetExceeded &&
           r.instrCount < (budget_ < stopAt_ ? budget_ : stopAt_))
@@ -175,11 +190,12 @@ RunResult Executor::runJit() {
       continue;
 
     case JitExit::ColdOp: {
-      // Single-step the rare op on the interpreter, then resume natively
-      // at the next instruction (its counter increment happens there).
+      // Single-step the rare op, or the access to a SECDED-shadowed page,
+      // on the interpreter, then resume natively at the next instruction
+      // (its counter increment happens there).
       const std::uint64_t save = stopAt_;
       stopAt_ = instrCount_ + 1;
-      RunResult r = runFast();
+      RunResult r = interpret(fast);
       stopAt_ = save;
       if (r.status == RunStatus::BudgetExceeded &&
           r.instrCount < (budget_ < stopAt_ ? budget_ : stopAt_))

@@ -74,14 +74,28 @@ int jitUnavailableWarnCount() {
 
 // ---- runtime helpers called from emitted code ------------------------------
 
+namespace {
+// Never a page address: pages are heap-allocated and 8-aligned.
+constexpr std::uintptr_t kJitMissShadowed = 1;
+} // namespace
+
 extern "C" {
 
+// TLB-miss helpers: the page's backing store (now cached in the TLB),
+// nullptr for an unmapped page, or kJitMissShadowed for a SECDED-shadowed
+// page, which Memory never caches and emitted code must not touch inline.
 const std::uint8_t* careJitReadMiss(Memory* mem, std::uint64_t pageNo) {
-  return mem->readPage(pageNo);
+  const std::uint8_t* p = mem->readPage(pageNo);
+  if (p && mem->eccShadowed(pageNo))
+    return reinterpret_cast<const std::uint8_t*>(kJitMissShadowed);
+  return p;
 }
 
 std::uint8_t* careJitWriteMiss(Memory* mem, std::uint64_t pageNo) {
-  return mem->writePage(pageNo);
+  std::uint8_t* p = mem->writePage(pageNo);
+  if (p && mem->eccShadowed(pageNo))
+    return reinterpret_cast<std::uint8_t*>(kJitMissShadowed);
+  return p;
 }
 
 void careJitEmit(JitContext* ctx, std::uint64_t bits) {
@@ -471,6 +485,7 @@ private:
   std::vector<std::function<void()>> cold_;
   int exitLbl_[8];
   int trampLbl_ = -1;
+  int missFailLbl_ = -1;
 
   const DInst& at(std::int32_t j) const { return code_[j]; }
 
@@ -524,25 +539,44 @@ private:
     });
   }
 
-  enum class TrapAddrFrom { Rsi, Scratch, Zero };
+  enum class TrapAddrFrom { Rsi, Zero };
 
   int coldTrap(std::int32_t j, TrapKind kind, TrapAddrFrom am) {
     const int l = a_.newLabel();
     cold_.push_back([this, l, j, kind, am] {
       a_.bind(l);
-      if (am == TrapAddrFrom::Rsi) {
-        a_.movMR(kCtx, kOffTrapAddr, RSI);
-      } else if (am == TrapAddrFrom::Scratch) {
-        a_.movRM(RAX, kCtx, kOffScratch);
-        a_.movMR(kCtx, kOffTrapAddr, RAX);
-      } else {
-        a_.movMImm64(kCtx, kOffTrapAddr, 0);
-      }
+      if (am == TrapAddrFrom::Rsi) a_.movMR(kCtx, kOffTrapAddr, RSI);
+      else a_.movMImm64(kCtx, kOffTrapAddr, 0);
       a_.movMImm32(kCtx, kOffTrapKind, static_cast<std::uint32_t>(kind));
       a_.movMImm32(kCtx, kOffInstr, static_cast<std::uint32_t>(j));
       a_.jmpTo(exitLabel(JitExit::Trap));
     });
     return l;
+  }
+
+  // Shared tail for a TLB miss the helper could not resolve; the position
+  // is already in the context and the helper's result in RAX. An unmapped
+  // page is the interpreter-identical SegFault at the spilled EA. A
+  // SECDED-shadowed page un-counts the instruction and hands it to the
+  // interpreter like a cold op.
+  int missFailLabel() {
+    if (missFailLbl_ >= 0) return missFailLbl_;
+    missFailLbl_ = a_.newLabel();
+    cold_.push_back([this] {
+      const int segv = a_.newLabel();
+      a_.bind(missFailLbl_);
+      a_.cmpImm(RAX, static_cast<std::int32_t>(kJitMissShadowed));
+      a_.jccTo(CcNE, segv);
+      a_.addImm(kIc, -1);
+      a_.jmpTo(exitLabel(JitExit::ColdOp));
+      a_.bind(segv);
+      a_.movRM(RAX, kCtx, kOffScratch);
+      a_.movMR(kCtx, kOffTrapAddr, RAX);
+      a_.movMImm32(kCtx, kOffTrapKind,
+                   static_cast<std::uint32_t>(TrapKind::SegFault));
+      a_.jmpTo(exitLabel(JitExit::Trap));
+    });
+    return missFailLbl_;
   }
 
   // EA -> RSI (clobbers RAX). disp + g[base] + (g[index] << scale), always
@@ -570,9 +604,12 @@ private:
   }
 
   // Page translation through the software TLB. In: EA in RSI. Out: page
-  // backing store in RDX, RSI preserved. The miss path spills the EA, calls
-  // the Memory miss handler (which refills the TLB) and either resumes or
-  // surfaces the interpreter-identical SegFault.
+  // backing store in RDX, RSI preserved. The miss path spills the EA and
+  // the position, calls the Memory miss handler (which refills the TLB) and
+  // either resumes or takes the function's shared miss-failure tail: the
+  // interpreter-identical SegFault, or — for a SECDED-shadowed page — the
+  // ColdOp exit, so the interpreter's typed path verifies the access. Every
+  // caller translates before its first side effect, so that exit is clean.
   void emitTlb(std::int32_t j, bool write) {
     const int tlbBase = write ? kWTlb : kRTlb;
     const std::uint64_t helper = reinterpret_cast<std::uint64_t>(
@@ -592,12 +629,14 @@ private:
     cold_.push_back([this, miss, resume, j, helper] {
       a_.bind(miss);
       a_.movMR(kCtx, kOffScratch, RSI);
+      a_.movMImm32(kCtx, kOffInstr, static_cast<std::uint32_t>(j));
       a_.movRM(RDI, kCtx, kOffMem);
       a_.movRR(RSI, RCX);
       a_.movImm64(RAX, helper);
       a_.callR(RAX);
-      a_.testRR(RAX, RAX);
-      a_.jccTo(CcE, coldTrap(j, TrapKind::SegFault, TrapAddrFrom::Scratch));
+      // Null (unmapped) and kJitMissShadowed both compare below-or-equal.
+      a_.cmpImm(RAX, static_cast<std::int32_t>(kJitMissShadowed));
+      a_.jccTo(CcBE, missFailLabel());
       a_.movRR(RDX, RAX);
       a_.movRM(RSI, kCtx, kOffScratch);
       a_.jmpTo(resume);

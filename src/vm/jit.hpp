@@ -25,7 +25,10 @@
 //    stop mechanism runCheckpointed() and the replay cache use);
 //  * cold or rare ops (fused div-from-memory, sub-word fused loads) exit
 //    through a ColdOp stub and are single-stepped by the interpreter, then
-//    native execution resumes at the next instruction.
+//    native execution resumes at the next instruction. An access to a
+//    SECDED-shadowed page, which Memory never caches in its TLB, leaves the
+//    same way from the TLB-miss stub, so the interpreter's typed path
+//    verifies it.
 //
 // Compilation is per-function, on the Nth driver touch
 // (CARE_JIT_THRESHOLD, default 1 = first touch), into chunks that are

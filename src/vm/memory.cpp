@@ -47,6 +47,9 @@ bool Memory::isMapped(std::uint64_t addr) const {
 const std::uint8_t* Memory::readMiss(std::uint64_t pageNo) const {
   auto it = pages_.find(pageNo);
   if (it == pages_.end()) return nullptr;
+  // A shadowed page stays out of the TLB, so emitted code never reads it
+  // inline (see eccShadowed()).
+  if (eccShadowed(pageNo)) return it->second->data();
   TlbEntry& e = readTlb_[pageNo & (kTlbEntries - 1)];
   e.pageNo = pageNo;
   e.data = it->second->data();
@@ -65,6 +68,7 @@ std::uint8_t* Memory::writeMiss(std::uint64_t pageNo) {
     TlbEntry& r = readTlb_[pageNo & (kTlbEntries - 1)];
     if (r.pageNo == pageNo) r.data = slot->data();
   }
+  if (eccShadowed(pageNo)) return slot->data();
   TlbEntry& e = writeTlb_[pageNo & (kTlbEntries - 1)];
   e.pageNo = pageNo;
   e.data = slot->data();
@@ -248,7 +252,15 @@ bool Memory::injectFault(std::uint64_t addr, const std::vector<unsigned>& bits) 
   const std::uint64_t pageNo = wordAddr / kPageSize;
   std::uint8_t* page = writePage(pageNo);
   if (!page) return false;
-  if (eccMode_ != EccMode::Off) ensureEccPage(pageNo, page);
+  if (eccMode_ != EccMode::Off) {
+    ensureEccPage(pageNo, page);
+    // The page has a shadow now: evict it, so the next access misses and
+    // finds it uncacheable.
+    for (Tlb* tlb : {&readTlb_, &writeTlb_}) {
+      TlbEntry& e = (*tlb)[pageNo & (kTlbEntries - 1)];
+      if (e.pageNo == pageNo) e = TlbEntry{};
+    }
+  }
   const std::uint64_t off = wordAddr % kPageSize;
   std::uint64_t word = 0;
   std::memcpy(&word, page + off, 8);

@@ -13,8 +13,8 @@
 //  * copy-on-write pages: pages are shared_ptr-backed, so clone() /
 //    restoreFrom() / MemorySnapshot::fork() share page storage and a store
 //    copies only the page it touches. The write TLB only ever caches pages
-//    that are exclusively owned, which is what makes the hit path a plain
-//    pointer compare.
+//    that are exclusively owned, and neither TLB caches a page with an ECC
+//    shadow, which is what makes the hit path a plain pointer compare.
 #pragma once
 
 #include <array>
@@ -83,11 +83,24 @@ public:
   /// sub-word stores verify first so a latent corrupted neighbor byte is
   /// never laundered into a freshly encoded word. Uncorrectable words
   /// surface as MemStatus::EccUncorrectable.
+  ///
+  /// TLB invariant: a shadowed page never enters readTlb_/writeTlb_.
+  /// readPage()/writePage() still return its data, but through the miss
+  /// path, and injectFault() evicts the page when it grows the shadow. An
+  /// inline TLB hit — the emitted JIT code's whole memory path — therefore
+  /// always lands on a clean page; the JIT's miss helpers report a
+  /// shadowed page so the instruction leaves native code and runs on the
+  /// typed accessors (DESIGN.md §4h).
   void setEccMode(EccMode m) { eccMode_ = m; }
   EccMode eccMode() const { return eccMode_; }
   bool eccEnabled() const { return eccMode_ != EccMode::Off; }
   std::uint64_t eccCorrected() const { return eccCorrected_; }
   std::uint64_t eccUncorrectable() const { return eccUncorrectable_; }
+  /// True when page `pageNo` carries a SECDED shadow (one short-circuited
+  /// branch while no shadow exists anywhere).
+  bool eccShadowed(std::uint64_t pageNo) const {
+    return !eccPages_.empty() && eccPages_.count(pageNo) != 0;
+  }
   /// Re-seat the counters (Executor::restoreCheckpoint re-applies them
   /// across the snapshot fork so rollbacks don't reset ECC accounting).
   void setEccCounters(std::uint64_t corrected, std::uint64_t uncorrectable) {

@@ -401,27 +401,43 @@ TEST(Jit, FiveWorkloadCampaignSerializesIdenticallyToFast) {
 }
 
 // Same acceptance gate for the memory-resident fault models: with faults
-// landing in mapped words (and, in the first leg, SECDED correcting or
-// trapping them), the jit-backend campaign must serialize byte-identical
-// to the fast interpreter. Covers the ECC delegation path (secded) and the
-// native path with silent memory corruption (burst, ECC off).
+// landing in mapped words, the jit-backend campaign must serialize
+// byte-identical to the fast interpreter. Under SECDED the JIT runs trials
+// natively and only accesses to the struck page leave native code (the
+// shadowed-page exit, DESIGN.md §4h); the legs cover correction (mem1),
+// double-bit traps (mem2adj), the CRC cross-check (burst under
+// secded,crc), silent corruption with ECC off (burst), and rollback
+// re-runs under repair_then_rollback, whose ring restores re-seat the
+// address space while shadows exist — mem2adj detections are what a
+// rollback re-runs, so that leg must roll back at least once.
 TEST(Jit, MemoryFaultCampaignSerializesIdenticallyToFast) {
   if (!vm::jitAvailable()) GTEST_SKIP() << "no executable mappings";
   InterpGuard guard;
   struct Leg {
     inject::FaultModel fault;
     vm::EccMode ecc;
+    bool rollback;
   };
-  for (const Leg leg : {Leg{inject::FaultModel::Mem1, vm::EccMode::Secded},
-                        Leg{inject::FaultModel::Burst, vm::EccMode::Off}}) {
+  for (const Leg leg :
+       {Leg{inject::FaultModel::Mem1, vm::EccMode::Secded, false},
+        Leg{inject::FaultModel::Burst, vm::EccMode::Off, false},
+        Leg{inject::FaultModel::Mem2Adj, vm::EccMode::Secded, false},
+        Leg{inject::FaultModel::Burst, vm::EccMode::SecdedCrc, false},
+        Leg{inject::FaultModel::Mem1, vm::EccMode::Secded, true},
+        Leg{inject::FaultModel::Mem2Adj, vm::EccMode::Secded, true}}) {
     inject::ExperimentConfig cfg;
     cfg.level = opt::OptLevel::O0;
     cfg.injections = 20;
     cfg.seed = 99;
     cfg.fault = leg.fault;
     cfg.ecc = leg.ecc;
+    if (leg.rollback) {
+      cfg.armor.recover = core::RecoveryStrategy::RepairThenRollback;
+      cfg.armor.recoverAuto = false;
+    }
     const std::string tag = std::string(inject::faultModelName(leg.fault)) +
-                            "/" + vm::eccModeName(leg.ecc);
+                            "/" + vm::eccModeName(leg.ecc) +
+                            (leg.rollback ? "/rollback" : "");
 
     cfg.cacheDir = "care_test_artifacts/jit_memfault_fast";
     std::filesystem::remove_all(cfg.cacheDir);
@@ -441,6 +457,32 @@ TEST(Jit, MemoryFaultCampaignSerializesIdenticallyToFast) {
     EXPECT_EQ(inject::serializeDeterministic(jit),
               inject::serializeDeterministic(fast))
         << tag;
+    if (leg.rollback && leg.fault == inject::FaultModel::Mem2Adj)
+      EXPECT_GT(jitTel.rollbacks, 0u) << tag << ": no trial rolled back";
+  }
+}
+
+// The driver's interpreter share on ECC-armed runs: with no shadow
+// anywhere, every TLB miss refills and no access leaves native code, so a
+// fault-free run of each workload retires under 1% of its instructions on
+// the fast interpreter (before native ECC, all of them).
+TEST(Jit, EccArmedCleanRunsStayOnNativeCode) {
+  if (!vm::jitAvailable()) GTEST_SKIP() << "no executable mappings";
+  for (const workloads::Workload* w : workloads::allWorkloads()) {
+    inject::ExperimentConfig ecfg;
+    ecfg.cacheDir = "care_test_artifacts/jit_ecc_clean";
+    ecfg.armor.detectAuto = false;
+    ecfg.armor.detectSampleAuto = false;
+    const inject::BuiltWorkload built = inject::buildWorkload(*w, ecfg);
+    vm::Executor ex(built.image.get());
+    ex.setInterp(vm::InterpKind::Jit);
+    ex.memory().setEccMode(vm::EccMode::Secded);
+    ex.setBudget(500'000'000);
+    const vm::RunResult r = vm::runToCompletion(ex, w->entry);
+    ASSERT_EQ(r.status, vm::RunStatus::Done) << w->name;
+    EXPECT_LT(ex.jitInterpretedInstrs() * 100, r.instrCount)
+        << w->name << ": " << ex.jitInterpretedInstrs() << " of "
+        << r.instrCount << " instructions interpreted";
   }
 }
 

@@ -155,6 +155,70 @@ TEST(MemoryTlb, MapInvalidatesExistingTranslations) {
   EXPECT_EQ(v, 0x11u);
 }
 
+// The invariant the JIT's native ECC path rests on (memory.hpp): once a
+// page carries a SECDED shadow it never sits in either TLB, while
+// readPage()/writePage() and the typed accessors keep serving it — also in
+// the copies restoreFrom() and MemorySnapshot::fork() make, which carry the
+// shadow along. Other pages, and every page with ECC off, cache as before.
+bool tlbHolds(const Memory& m, std::uint64_t pageNo) {
+  const auto [readTlb, writeTlb] = m.jitTlbView();
+  for (const void* view : {readTlb, writeTlb})
+    for (const Memory::TlbEntry& e : *static_cast<const Memory::Tlb*>(view))
+      if (e.pageNo == pageNo) return true;
+  return false;
+}
+
+TEST(MemoryTlb, EccShadowedPageNeverEntersTheTlb) {
+  constexpr std::uint64_t kHit = 3, kOther = 4; // page numbers
+  constexpr std::uint64_t kWord = 0x1234;
+  const auto touch = [](Memory& m, std::uint64_t pageNo,
+                        std::uint64_t expect) {
+    std::uint64_t v = 0;
+    EXPECT_EQ(m.load(pageNo * kPage + 8, MType::I64, v), MemStatus::Ok);
+    EXPECT_EQ(v, expect);
+    EXPECT_EQ(m.store(pageNo * kPage + 16, MType::I32, 5), MemStatus::Ok);
+    ASSERT_NE(m.readPage(pageNo), nullptr);
+    EXPECT_EQ(m.writePage(pageNo), m.readPage(pageNo));
+    std::memcpy(&v, m.readPage(pageNo) + 8, 8);
+    EXPECT_EQ(v, expect);
+  };
+  for (const vm::EccMode mode : {vm::EccMode::Secded, vm::EccMode::Off}) {
+    SCOPED_TRACE(vm::eccModeName(mode));
+    const bool shadowed = mode != vm::EccMode::Off;
+    // SECDED corrects the strike on the first load; without ECC it stays.
+    const std::uint64_t struck = shadowed ? kWord : kWord ^ (1u << 5);
+    Memory m;
+    m.map(0, 8 * kPage);
+    m.setEccMode(mode);
+    for (const std::uint64_t p : {kHit, kOther}) {
+      ASSERT_EQ(m.store(p * kPage + 8, MType::I64, kWord), MemStatus::Ok);
+      touch(m, p, kWord);
+      ASSERT_TRUE(tlbHolds(m, p)) << "page " << p << " not warm";
+    }
+
+    ASSERT_TRUE(m.injectFault(kHit * kPage + 8, {5}));
+    EXPECT_EQ(tlbHolds(m, kHit), !shadowed) << "strike left the page cached";
+    touch(m, kHit, struck);
+    EXPECT_EQ(m.eccCorrected(), shadowed ? 1u : 0u);
+    EXPECT_EQ(tlbHolds(m, kHit), !shadowed);
+    touch(m, kOther, kWord);
+    EXPECT_TRUE(tlbHolds(m, kOther));
+
+    Memory restored;
+    restored.restoreFrom(m);
+    touch(restored, kHit, struck);
+    EXPECT_EQ(tlbHolds(restored, kHit), !shadowed) << "after restoreFrom";
+
+    const MemorySnapshot snap = MemorySnapshot::capture(m);
+    Memory forked = snap.fork();
+    forked.setEccMode(mode);
+    touch(forked, kHit, struck);
+    EXPECT_EQ(tlbHolds(forked, kHit), !shadowed) << "after fork";
+    touch(forked, kOther, kWord);
+    EXPECT_TRUE(tlbHolds(forked, kOther));
+  }
+}
+
 // --- copy-on-write sharing (page-allocation accounting) ---------------------
 
 TEST(MemoryCow, CloneAllocatesNoPagesUntilStore) {

@@ -24,6 +24,8 @@
 #include "support/md5.hpp"
 #include "support/rng.hpp"
 #include "testutil.hpp"
+#include "vm/decode.hpp"
+#include "vm/jit.hpp"
 #include "workloads/workloads.hpp"
 
 namespace care::test {
@@ -323,11 +325,82 @@ std::string memoryDigest(vm::Executor& ex) {
   return h.finish().hex();
 }
 
+// True for the accesses narrower than the 64-bit word ECC protects: a
+// sub-word load verifies the whole word, a sub-word store verifies it before
+// merging its bytes.
+bool subWordAccess(const vm::DInst& d) {
+  switch (d.kind) {
+  case vm::DKind::LoadI8: case vm::DKind::LoadI32: case vm::DKind::LoadF32:
+  case vm::DKind::StoreI8: case vm::DKind::StoreI32: case vm::DKind::StoreF32:
+    return true;
+  case vm::DKind::IAluMem: case vm::DKind::FAluMem:
+    return d.memType != backend::MType::I64 &&
+           d.memType != backend::MType::F64;
+  default:
+    return false;
+  }
+}
+
+// The word the first sub-word access at or after instruction `at` touches,
+// found by single-stepping a ref run with the access trace armed.
+std::uint64_t nextSubWordTarget(const vm::Image* image, const Workload& w,
+                                std::uint64_t at) {
+  vm::Executor ex(image);
+  ex.setInterp(vm::InterpKind::Ref);
+  EXPECT_EQ(ex.runBounded(at, w.entry).status,
+            vm::RunStatus::BudgetExceeded);
+  std::vector<std::uint64_t> trace;
+  ex.memory().setAccessTrace(&trace);
+  for (int step = 0; step < 1'000'000; ++step) {
+    const vm::CodeLoc loc = image->locate(ex.currentPC());
+    const vm::DInst& d =
+        image->decoded()
+            .funcs[static_cast<std::size_t>(loc.module)]
+                  [static_cast<std::size_t>(loc.func)]
+            .code[static_cast<std::size_t>(loc.instr)];
+    trace.clear();
+    if (ex.runBounded(ex.instrCount() + 1, w.entry).status !=
+        vm::RunStatus::BudgetExceeded)
+      break;
+    if (subWordAccess(d) && !trace.empty()) return trace.back();
+  }
+  ADD_FAILURE() << "no sub-word access after instruction " << at;
+  return 0;
+}
+
+// A word on a page the JIT backend holds in both its read and its write TLB
+// when it stops at instruction `at`.
+std::uint64_t warmPageTarget(const vm::Image* image, const Workload& w,
+                             std::uint64_t at, Rng& rng) {
+  vm::Executor ex(image);
+  ex.setInterp(vm::InterpKind::Jit);
+  EXPECT_EQ(ex.runBounded(at, w.entry).status,
+            vm::RunStatus::BudgetExceeded);
+  const auto [readView, writeView] = ex.memory().jitTlbView();
+  const auto& readTlb = *static_cast<const vm::Memory::Tlb*>(readView);
+  const auto& writeTlb = *static_cast<const vm::Memory::Tlb*>(writeView);
+  std::vector<std::uint64_t> warm;
+  for (const vm::Memory::TlbEntry& r : readTlb)
+    for (const vm::Memory::TlbEntry& wr : writeTlb)
+      if (r.data && r.pageNo == wr.pageNo) warm.push_back(r.pageNo);
+  if (warm.empty()) {
+    ADD_FAILURE() << "no page warm in both TLBs at instruction " << at;
+    return 0;
+  }
+  return warm[rng.next() % warm.size()] * vm::Memory::kPageSize +
+         8 * (rng.next() % 512);
+}
+
 // Flip bits in a mapped word at a sampled dynamic-instruction time and let
-// the corruption play out under all three backends, with ECC off and with
-// SECDED armed: trap kind, faulting instrCount, registers, output, ECC
+// the corruption play out under all three backends, with ECC off, SECDED
+// and SECDED+CRC: trap kind, faulting instrCount, registers, output, ECC
 // counters and the full post-run memory image must be pairwise identical.
-// Models rotate across trials: single bit, adjacent pair, 8-bit lane burst.
+// Models rotate across strikes: single bit, adjacent pair, 8-bit lane burst.
+// Besides uniformly sampled words, targeted strikes hit words the run is
+// sure to touch again, so on the JIT the shadowed page leaves native code
+// through each translating template: the word at the stack pointer (Call
+// and Ret), a word on a page warm in both TLBs at strike time (the strike
+// must evict it), and the word of the next sub-word load or store.
 TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
   const Workload& w = workloads::hpccg();
   BuildKeep keep;
@@ -342,34 +415,70 @@ TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
   const std::vector<std::uint64_t> pages = probe.memory().pageNumbers();
   ASSERT_FALSE(pages.empty());
 
-  Rng rng(0xECC);
-  for (int trial = 0; trial < 9; ++trial) {
-    const std::uint64_t faultAt = 1 + rng.next() % (golden.instrCount - 1);
-    const std::uint64_t page = pages[rng.next() % pages.size()];
-    const std::uint64_t addr =
-        page * vm::Memory::kPageSize + 8 * (rng.next() % 512);
+  enum class Target { Uniform, StackPointer, WarmPage, SubWord };
+  struct Strike {
+    Target target;
+    std::uint64_t at;
+    std::uint64_t addr;
     std::vector<unsigned> bits;
-    switch (trial % 3) {
-    case 0: // mem1
-      bits = {static_cast<unsigned>(rng.next() % 64)};
-      break;
-    case 1: { // mem2adj
-      const unsigned p = static_cast<unsigned>(rng.next() % 63);
-      bits = {p, p + 1};
-      break;
+  };
+  Rng rng(0xECC);
+  std::vector<Strike> strikes;
+  for (const Target target : {Target::Uniform, Target::StackPointer,
+                              Target::WarmPage, Target::SubWord}) {
+    const int count = target == Target::Uniform ? 9 : 3;
+    for (int i = 0; i < count; ++i) {
+      Strike st{target, 1 + rng.next() % (golden.instrCount - 1), 0, {}};
+      switch (target) {
+      case Target::Uniform:
+        st.addr = pages[rng.next() % pages.size()] * vm::Memory::kPageSize +
+                  8 * (rng.next() % 512);
+        break;
+      case Target::StackPointer: {
+        vm::Executor ex(image.get());
+        ex.setInterp(vm::InterpKind::Ref);
+        ASSERT_EQ(ex.runBounded(st.at, w.entry).status,
+                  vm::RunStatus::BudgetExceeded);
+        st.addr = ex.state().g[backend::kSP] & ~7ull;
+        break;
+      }
+      case Target::WarmPage:
+        st.addr = warmPageTarget(image.get(), w, st.at, rng);
+        break;
+      case Target::SubWord:
+        st.addr = nextSubWordTarget(image.get(), w, st.at);
+        break;
+      }
+      switch (i % 3) {
+      case 0: // mem1
+        st.bits = {static_cast<unsigned>(rng.next() % 64)};
+        break;
+      case 1: { // mem2adj
+        const unsigned p = static_cast<unsigned>(rng.next() % 63);
+        st.bits = {p, p + 1};
+        break;
+      }
+      default: { // burst: one byte lane
+        const unsigned lane = static_cast<unsigned>(rng.next() % 8);
+        for (unsigned b = 0; b < 8; ++b) st.bits.push_back(8 * lane + b);
+        break;
+      }
+      }
+      strikes.push_back(std::move(st));
     }
-    default: { // burst: one byte lane
-      const unsigned lane = static_cast<unsigned>(rng.next() % 8);
-      for (unsigned b = 0; b < 8; ++b) bits.push_back(8 * lane + b);
-      break;
-    }
-    }
+  }
 
-    for (const vm::EccMode mode : {vm::EccMode::Off, vm::EccMode::Secded}) {
+  static constexpr const char* kTargetName[] = {"uniform", "sp", "warm",
+                                                "subword"};
+  for (std::size_t si = 0; si < strikes.size(); ++si) {
+    const Strike& st = strikes[si];
+    for (const vm::EccMode mode : {vm::EccMode::Off, vm::EccMode::Secded,
+                                   vm::EccMode::SecdedCrc}) {
       const std::string tag =
-          "trial " + std::to_string(trial) + " addr=" + std::to_string(addr) +
-          " at=" + std::to_string(faultAt) +
-          " ecc=" + vm::eccModeName(mode);
+          "strike " + std::to_string(si) + " (" +
+          kTargetName[static_cast<int>(st.target)] +
+          ") addr=" + std::to_string(st.addr) +
+          " at=" + std::to_string(st.at) + " ecc=" + vm::eccModeName(mode);
       std::array<std::unique_ptr<vm::Executor>, kNumKinds> ex;
       std::array<vm::RunResult, kNumKinds> res;
       std::array<std::string, kNumKinds> digest;
@@ -378,12 +487,19 @@ TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
         ex[k]->setInterp(kKinds[k]);
         ex[k]->memory().setEccMode(mode);
         ex[k]->setBudget(2 * golden.instrCount);
-        const vm::RunResult stop = ex[k]->runBounded(faultAt, w.entry);
+        const vm::RunResult stop = ex[k]->runBounded(st.at, w.entry);
         ASSERT_EQ(stop.status, vm::RunStatus::BudgetExceeded) << tag;
-        ASSERT_EQ(stop.instrCount, faultAt) << tag;
-        ASSERT_TRUE(ex[k]->memory().injectFault(addr, bits)) << tag;
+        ASSERT_EQ(stop.instrCount, st.at) << tag;
+        ASSERT_TRUE(ex[k]->memory().injectFault(st.addr, st.bits)) << tag;
+        const std::uint64_t interpBefore = ex[k]->jitInterpretedInstrs();
         res[k] = vm::runToCompletion(*ex[k], w.entry);
         digest[k] = memoryDigest(*ex[k]);
+        // A targeted word is touched again, so with a shadow on its page
+        // the JIT must have left native code for at least that access.
+        if (kKinds[k] == vm::InterpKind::Jit && vm::jitAvailable() &&
+            mode != vm::EccMode::Off && st.target != Target::Uniform)
+          EXPECT_GT(ex[k]->jitInterpretedInstrs(), interpBefore)
+              << tag << ": no shadowed-page exit";
       }
       for (std::size_t a = 0; a < kNumKinds; ++a)
         for (std::size_t b = a + 1; b < kNumKinds; ++b) {
