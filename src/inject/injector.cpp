@@ -146,8 +146,11 @@ Campaign::Campaign(const vm::Image* image, CampaignConfig cfg)
 
 bool Campaign::profile() {
   trace::Span profileSpan("campaign.profile", "campaign");
+  // Only register faults are sampled by execution count; a memory model's
+  // golden run takes no counts, so on the JIT it runs the clean variant.
+  const bool regModel = cfg_.fault == FaultModel::Reg;
   Executor ex(image_, baseMem_);
-  ex.enableProfiling();
+  if (regModel) ex.enableProfiling();
   ex.setBudget(2'000'000'000ull);
   trace::Span goldenSpan("campaign.golden_run", "campaign");
   const vm::RunResult res = vm::runToCompletion(ex, cfg_.entry);
@@ -160,23 +163,26 @@ bool Campaign::profile() {
   counts_.clear();
   cumulative_.clear();
   totalWeight_ = 0;
-  for (std::int32_t m : cfg_.targetModules) {
-    const auto& fns = image_->module(static_cast<std::size_t>(m)).mod->functions;
-    for (std::size_t f = 0; f < fns.size(); ++f) {
-      for (std::size_t i = 0; i < fns[f].code.size(); ++i) {
-        if (!injectable(fns[f].code[i])) continue;
-        const CodeLoc loc{m, static_cast<std::int32_t>(f),
-                          static_cast<std::int32_t>(i)};
-        const std::uint64_t count = ex.profileCount(loc);
-        if (count == 0) continue;
-        sites_.push_back(loc);
-        counts_.push_back(count);
-        totalWeight_ += count;
-        cumulative_.push_back(totalWeight_);
+  if (regModel) {
+    for (std::int32_t m : cfg_.targetModules) {
+      const auto& fns =
+          image_->module(static_cast<std::size_t>(m)).mod->functions;
+      for (std::size_t f = 0; f < fns.size(); ++f) {
+        for (std::size_t i = 0; i < fns[f].code.size(); ++i) {
+          if (!injectable(fns[f].code[i])) continue;
+          const CodeLoc loc{m, static_cast<std::int32_t>(f),
+                            static_cast<std::int32_t>(i)};
+          const std::uint64_t count = ex.profileCount(loc);
+          if (count == 0) continue;
+          sites_.push_back(loc);
+          counts_.push_back(count);
+          totalWeight_ += count;
+          cumulative_.push_back(totalWeight_);
+        }
       }
     }
+    if (totalWeight_ == 0) return false;
   }
-  if (totalWeight_ == 0) return false;
 
   // Replay cache (DESIGN.md §4c): resolve the segment length, then capture
   // the golden run's boundary states in a second pass (the auto interval
@@ -242,7 +248,7 @@ void Campaign::buildCheckpoints() {
   // trial with no earlier checkpoint simply runs from scratch — so the
   // first callback is skipped to keep the pre-existing checkpoint set.
   Executor ex(image_, baseMem_);
-  ex.enableProfiling();
+  if (cfg_.fault == FaultModel::Reg) ex.enableProfiling();
   bool atEntry = true;
   vm::runCheckpointed(ex, cfg_.entry, ckptInterval_, goldenInstrs_,
                       [&](Executor& e) {
@@ -307,9 +313,11 @@ Campaign::replaySourceAt(std::uint64_t instrAt) const {
 }
 
 InjectionPoint Campaign::sample(Rng& rng) const {
-  CARE_ASSERT(totalWeight_ > 0, "profile() must succeed before sample()");
   InjectionPoint pt;
   pt.model = cfg_.fault;
+  CARE_ASSERT(pt.model == FaultModel::Reg ? totalWeight_ > 0
+                                          : goldenInstrs_ > 0,
+              "profile() must succeed before sample()");
   if (pt.model != FaultModel::Reg) {
     // Memory-resident models (DESIGN.md §4i): an absolute dynamic-
     // instruction time and an aligned 64-bit word in a mapped page,

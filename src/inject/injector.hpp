@@ -171,8 +171,13 @@ class Campaign {
 public:
   Campaign(const vm::Image* image, CampaignConfig cfg);
 
-  /// Golden (fault-free) profiling run. Must be called once before sampling
-  /// or injecting. Returns false if the program itself fails.
+  /// Golden (fault-free) run. Must be called once before sampling or
+  /// injecting. Register faults are sampled by execution count, so for
+  /// FaultModel::Reg it profiles every static instruction and builds the
+  /// site table; memory models draw only an instruction time and a word,
+  /// so their golden run takes no counts and the site table (and every
+  /// checkpoint's siteCounts) stays empty. Returns false if the program
+  /// itself fails, or, for register faults, executes no injectable site.
   bool profile();
 
   std::uint64_t goldenInstrs() const { return goldenInstrs_; }
@@ -194,7 +199,8 @@ public:
 
   /// One golden-run segment boundary of the replay cache: the full machine
   /// state at that boundary plus, for every injectable site, how many
-  /// executions had completed by then (parallel to the sampling table).
+  /// executions had completed by then (parallel to the sampling table,
+  /// so empty for memory models).
   struct TrialCheckpoint {
     vm::Executor::ResumePoint rp;
     std::vector<std::uint64_t> siteCounts;

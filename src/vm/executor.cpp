@@ -90,22 +90,22 @@ std::uint64_t Executor::currentPC() const {
 
 void Executor::enableProfiling() {
   profiling_ = true;
-  profile_.resize(image_->numModules());
-  for (std::size_t m = 0; m < image_->numModules(); ++m) {
-    const auto& fns = image_->module(m).mod->functions;
-    profile_[m].resize(fns.size());
-    // One pad slot per row: the fast loop's fetch bookkeeping briefly
-    // touches the OobGuard sentinel's index before the guard handler
-    // rolls it back (decode.hpp). Never reported.
-    for (std::size_t f = 0; f < fns.size(); ++f)
-      profile_[m][f].assign(fns[f].code.size() + 1, 0);
-  }
+  // One flat row over the image (Image::profileSlots): the JIT's profiling
+  // variant addresses it by a per-function base baked into its code. Each
+  // function's row carries one pad slot: the fast loop's fetch bookkeeping
+  // briefly touches the OobGuard sentinel's index before the guard handler
+  // rolls it back (decode.hpp). Never reported.
+  profile_.assign(image_->profileSlots(), 0);
 }
 
 std::uint64_t Executor::profileCount(const CodeLoc& loc) const {
-  return profile_[static_cast<std::size_t>(loc.module)]
-                 [static_cast<std::size_t>(loc.func)]
-                 [static_cast<std::size_t>(loc.instr)];
+  return profile_[profileSlot(loc)];
+}
+
+std::size_t Executor::profileSlot(const CodeLoc& loc) const {
+  return image_->module(static_cast<std::size_t>(loc.module))
+             .profileBase[static_cast<std::size_t>(loc.func)] +
+         static_cast<std::size_t>(loc.instr);
 }
 
 void Executor::armInjection(const CodeLoc& loc, std::uint64_t nth,
@@ -220,10 +220,7 @@ RunResult Executor::runReference() {
     }
     const MInst& in = fn_->code[static_cast<std::size_t>(curInstr_)];
     ++instrCount_;
-    if (profiling_)
-      ++profile_[static_cast<std::size_t>(curModule_)]
-                [static_cast<std::size_t>(curFunc_)]
-                [static_cast<std::size_t>(curInstr_)];
+    if (profiling_) ++profile_[profileSlot({curModule_, curFunc_, curInstr_})];
 
     // Trap delivery state: consult the hook; Retry re-executes the same
     // instruction (Safeguard patched the state), Propagate ends the run.

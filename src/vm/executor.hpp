@@ -187,9 +187,10 @@ public:
   /// PC of the instruction currently being executed.
   std::uint64_t currentPC() const;
   /// Instructions the jit backend's driver retired on the fast interpreter
-  /// (cold ops, shadowed-page accesses, deopts, armed windows, profiling
-  /// and traced runs, hosts without the JIT), cumulative over this
-  /// executor's runs. Counted per interpreter leg, not per instruction.
+  /// (cold ops, shadowed-page accesses, deopts, armed windows, traced
+  /// runs, hosts without the JIT), cumulative over this executor's runs.
+  /// Profiling runs count natively and appear here only for those legs.
+  /// Counted per interpreter leg, not per instruction.
   std::uint64_t jitInterpretedInstrs() const { return jitInterpInstrs_; }
 
 private:
@@ -235,7 +236,9 @@ private:
 
   // Profiling.
   bool profiling_ = false;
-  std::vector<std::vector<std::vector<std::uint64_t>>> profile_;
+  /// Execution counts, one flat row over the image (Image::profileSlots).
+  std::vector<std::uint64_t> profile_;
+  std::size_t profileSlot(const CodeLoc& loc) const;
 
   // Injection.
   bool injArmed_ = false;

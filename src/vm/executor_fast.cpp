@@ -107,9 +107,7 @@ RunResult Executor::runFastImpl(bool* switchVariant) {
     code = df_.code.data();                                                 \
     codeSize = df_.code.size() - 1; /* last slot is the OobGuard sentinel */ \
     if constexpr (kInstrumented) {                                          \
-      profRow = profiling_ ? profile_[static_cast<std::size_t>(m)]          \
-                                     [static_cast<std::size_t>(fi)]         \
-                                         .data()                            \
+      profRow = profiling_ ? profile_.data() + profileSlot({m, fi, 0})     \
                            : nullptr;                                       \
       injPtr = (injArmed_ && injLoc_.module == m && injLoc_.func == fi)     \
                    ? code + injLoc_.instr                                   \

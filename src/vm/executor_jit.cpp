@@ -3,8 +3,14 @@
 // run() under InterpKind::Jit alternates between native execution of
 // compiled code and the fast interpreter:
 //
-//  * profiling and access-traced runs stay on the fast interpreter
-//    entirely — they need its per-instruction checks;
+//  * profiling runs run natively on the profiling variant of the compiled
+//    code (jit.hpp), which increments the same per-instruction counters
+//    the interpreter loops do; the legs below that do run on the fast
+//    interpreter count into the same rows, so counts merge exactly. A
+//    trap hook that enables profiling mid-run switches to the profiling
+//    variant at the next native entry;
+//  * access-traced runs stay on the fast interpreter entirely — they need
+//    its per-access trace hook;
 //  * ECC-armed runs run natively: a SECDED-shadowed page never enters the
 //    software TLB (memory.hpp), so the only accesses that leave native
 //    code are the ones that hit a shadowed page — the TLB-miss stub exits
@@ -55,10 +61,9 @@ RunResult Executor::runJit() {
   };
   const auto fast = [this] { return runFast(); };
 
-  // Profiling counts and access-traced memory need per-access hooks the
-  // emitted templates don't carry; the fast interpreter provides them with
-  // identical results.
-  if (profiling_ || mem_.accessTraceActive()) return interpret(fast);
+  // Access-traced memory needs a per-access hook the emitted templates
+  // don't carry; the fast interpreter provides it with identical results.
+  if (mem_.accessTraceActive()) return interpret(fast);
 
   JitImage& jimg = image_->jit();
   if (!jimg.usable()) {
@@ -87,9 +92,10 @@ RunResult Executor::runJit() {
       res.instrCount = instrCount_;
       return res;
     }
-    // A trap hook may have enabled instrumentation mid-run; hand the rest
-    // of the run over, like the plain fast-loop variant does.
-    if (profiling_ || mem_.accessTraceActive()) return interpret(fast);
+    // A trap hook may have armed an access trace mid-run; hand the rest of
+    // the run over, like the plain fast-loop variant does. Profiling needs
+    // no handoff: ctx.prof below picks the variant at every entry.
+    if (mem_.accessTraceActive()) return interpret(fast);
     if (injArmed_) {
       // Armed window: the instrumented loop watches for the nth execution.
       // It returns with switchVariant set right after the injection fired
@@ -103,8 +109,11 @@ RunResult Executor::runJit() {
       return r;
     }
 
-    const void* entry =
-        jimg.entryFor(curModule_, curFunc_, curInstr_, instrCount_, stop);
+    // Re-read every iteration: a trap hook may have enabled profiling,
+    // which (re)allocates the counter row.
+    ctx.prof = profiling_ ? profile_.data() : nullptr;
+    const void* entry = jimg.entryFor(curModule_, curFunc_, curInstr_,
+                                      instrCount_, stop, profiling_);
     if (!entry) {
       // Burst-interpret under a transient bound. An artificial stop shows
       // up as BudgetExceeded short of the real bound — re-probe the cache.

@@ -135,6 +135,7 @@ constexpr std::int32_t kOffTrapKind = offsetof(JitContext, trapKind);
 constexpr std::int32_t kOffModule = offsetof(JitContext, module);
 constexpr std::int32_t kOffFunc = offsetof(JitContext, func);
 constexpr std::int32_t kOffInstr = offsetof(JitContext, instr);
+constexpr std::int32_t kOffProf = offsetof(JitContext, prof);
 
 // ---- host registers --------------------------------------------------------
 
@@ -285,6 +286,9 @@ struct Asm {
     rex(w, 0, 0, reg); u8(0xC1); modrm(3, ext, reg); u8(n);
   }
   void incR(int reg) { rexW(0, 0, reg); u8(0xFF); modrm(3, 0, reg); }
+  // inc / dec qword [base+disp]
+  void incM(int base, std::int32_t d) { rexW(0, 0, base); u8(0xFF); mem(0, base, d); }
+  void decM(int base, std::int32_t d) { rexW(0, 0, base); u8(0xFF); mem(1, base, d); }
   void negR(int reg, bool w = true) { rex(w, 0, 0, reg); u8(0xF7); modrm(3, 3, reg); }
   void cqo() { u8(0x48); u8(0x99); }
   void cdq() { u8(0x99); }
@@ -419,18 +423,30 @@ struct FnArtifact {
 // order (leaders prefixed by their block budget check), then the cold
 // stubs (trap materialization, TLB misses, deopts), then the shared
 // per-function exit tails and the trampoline to the common exit thunk.
+//
+// With a profile base (>= 0: the function's LoadedModule::profileBase)
+// it emits the profiling variant: each template also increments its
+// instruction's counter in JitContext::prof right after ++ic, and every
+// path that un-counts an instruction (the shadowed-page exit) un-counts it
+// there too. Without one, the emitted bytes are the clean variant's.
 class FnCompiler {
 public:
   FnCompiler(const DecodedFunction& df, std::int32_t m, std::int32_t f,
              const std::vector<std::vector<std::atomic<const void*>>>& slots,
-             const void* commonExit)
+             const void* commonExit, std::int64_t profBase)
       : code_(df.code.data()),
         n_(df.code.size() - 1), // exclude the OobGuard sentinel
-        m_(m), f_(f), slots_(slots), commonExit_(commonExit) {}
+        m_(m), f_(f), slots_(slots), commonExit_(commonExit),
+        profBase_(profBase) {}
 
   FnArtifact run() {
     FnArtifact art;
     if (n_ == 0) return art; // nothing to enter; interpret
+    // Counter displacements are disp32: an image too large for them keeps
+    // its profiling runs on the interpreter.
+    if (profBase_ >= 0 &&
+        8 * (profBase_ + static_cast<std::int64_t>(n_)) > INT32_MAX)
+      return art;
     computeBlocks();
     instrLbl_.resize(n_);
     for (std::size_t j = 0; j < n_; ++j) instrLbl_[j] = a_.newLabel();
@@ -478,6 +494,7 @@ private:
   std::int32_t m_, f_;
   const std::vector<std::vector<std::atomic<const void*>>>& slots_;
   const void* commonExit_;
+  const std::int64_t profBase_; // < 0: clean variant
   Asm a_;
   std::vector<bool> leader_;
   std::vector<std::uint32_t> suffix_;
@@ -557,8 +574,9 @@ private:
   // Shared tail for a TLB miss the helper could not resolve; the position
   // is already in the context and the helper's result in RAX. An unmapped
   // page is the interpreter-identical SegFault at the spilled EA. A
-  // SECDED-shadowed page un-counts the instruction and hands it to the
-  // interpreter like a cold op.
+  // SECDED-shadowed page un-counts the instruction (in the profiling
+  // variant its counter too) and hands it to the interpreter like a cold
+  // op.
   int missFailLabel() {
     if (missFailLbl_ >= 0) return missFailLbl_;
     missFailLbl_ = a_.newLabel();
@@ -568,6 +586,13 @@ private:
       a_.cmpImm(RAX, static_cast<std::int32_t>(kJitMissShadowed));
       a_.jccTo(CcNE, segv);
       a_.addImm(kIc, -1);
+      if (profBase_ >= 0) { // un-count ctx->instr, spilled by the miss stub
+        a_.movRM(RAX, kCtx, kOffProf);
+        a_.movsxdRM(RCX, kCtx, kOffInstr);
+        a_.shiftImm(4, RCX, 3);
+        a_.addRR(RAX, RCX);
+        a_.decM(RAX, static_cast<std::int32_t>(8 * profBase_));
+      }
       a_.jmpTo(exitLabel(JitExit::ColdOp));
       a_.bind(segv);
       a_.movRM(RAX, kCtx, kOffScratch);
@@ -704,6 +729,10 @@ bool FnCompiler::emitInstr(std::int32_t j) {
     return true;
   }
   a_.incR(kIc);
+  if (profBase_ >= 0) { // the interpreter's ++profRow[j], next to its ++ic
+    a_.movRM(RAX, kCtx, kOffProf);
+    a_.incM(RAX, static_cast<std::int32_t>(8 * (profBase_ + j)));
+  }
   const int k = static_cast<int>(d.kind);
   static constexpr int kCcOf[6] = {CcE, CcNE, CcL, CcLE, CcG, CcGE};
   static constexpr std::uint8_t kFOp[4] = {0x58, 0x5C, 0x59, 0x5E};
@@ -1235,13 +1264,17 @@ JitImage::JitImage(const Image& image)
   }
   const DecodedImage& dimg = image.decoded();
   const std::size_t nm = dimg.funcs.size();
-  slots_.reserve(nm);
-  fns_.reserve(nm);
   touches_.reserve(nm);
+  for (Variant& v : variants_) {
+    v.slots.reserve(nm);
+    v.fns.reserve(nm);
+  }
   for (std::size_t m = 0; m < nm; ++m) {
     const std::size_t nf = dimg.funcs[m].size();
-    slots_.emplace_back(nf);  // inner vectors are never resized again:
-    fns_.emplace_back(nf);    // emitted code embeds their element addresses
+    for (Variant& v : variants_) {
+      v.slots.emplace_back(nf); // inner vectors are never resized again:
+      v.fns.emplace_back(nf);   // emitted code embeds their element addresses
+    }
     touches_.emplace_back(nf);
   }
 
@@ -1300,26 +1333,28 @@ JitImage::JitImage(const Image& image)
   }
   entryThunk_ = base + thunkOff;
   commonExit_ = base + exitOff;
-  for (std::size_t m = 0; m < nm; ++m)
-    for (std::size_t f = 0; f < ceOff[m].size(); ++f)
-      slots_[m][f].store(base + ceOff[m][f], std::memory_order_release);
+  for (Variant& v : variants_)
+    for (std::size_t m = 0; m < nm; ++m)
+      for (std::size_t f = 0; f < ceOff[m].size(); ++f)
+        v.slots[m][f].store(base + ceOff[m][f], std::memory_order_release);
 }
 
 JitImage::~JitImage() = default;
 
-JitImage::FnJit* JitImage::compiled(std::int32_t m, std::int32_t f) {
-  return fns_[static_cast<std::size_t>(m)][static_cast<std::size_t>(f)].load(
-      std::memory_order_acquire);
-}
-
-JitImage::FnJit* JitImage::compileLocked(std::int32_t m, std::int32_t f) {
-  auto& cell =
-      fns_[static_cast<std::size_t>(m)][static_cast<std::size_t>(f)];
+JitImage::FnJit* JitImage::compileLocked(bool profiled, std::int32_t m,
+                                         std::int32_t f) {
+  Variant& v = variants_[profiled ? 1 : 0];
+  auto& cell = v.fns[static_cast<std::size_t>(m)][static_cast<std::size_t>(f)];
   if (FnJit* fj = cell.load(std::memory_order_relaxed)) return fj;
   const DecodedFunction& df =
       image_.decoded().funcs[static_cast<std::size_t>(m)]
                            [static_cast<std::size_t>(f)];
-  FnCompiler fc(df, m, f, slots_, commonExit_);
+  const std::int64_t profBase =
+      profiled ? static_cast<std::int64_t>(
+                     image_.module(static_cast<std::size_t>(m))
+                         .profileBase[static_cast<std::size_t>(f)])
+               : -1;
+  FnCompiler fc(df, m, f, v.slots, commonExit_, profBase);
   FnArtifact art = fc.run();
   auto own = std::make_unique<FnJit>();
   if (art.ok) {
@@ -1334,7 +1369,7 @@ JitImage::FnJit* JitImage::compileLocked(std::int32_t m, std::int32_t f) {
   fnStore_.push_back(std::move(own));
   if (raw->base) {
     // Calls may now jump straight in; offset 0 is the leader-0 block check.
-    slots_[static_cast<std::size_t>(m)][static_cast<std::size_t>(f)].store(
+    v.slots[static_cast<std::size_t>(m)][static_cast<std::size_t>(f)].store(
         raw->base, std::memory_order_release);
   }
   cell.store(raw, std::memory_order_release);
@@ -1342,12 +1377,16 @@ JitImage::FnJit* JitImage::compileLocked(std::int32_t m, std::int32_t f) {
 }
 
 const void* JitImage::entryFor(std::int32_t m, std::int32_t f, std::int32_t j,
-                               std::uint64_t ic, std::uint64_t limit) {
+                               std::uint64_t ic, std::uint64_t limit,
+                               bool profiled) {
   if (broken_ || m < 0 || f < 0 || j < 0) return nullptr;
-  if (static_cast<std::size_t>(m) >= fns_.size() ||
-      static_cast<std::size_t>(f) >= fns_[static_cast<std::size_t>(m)].size())
+  if (static_cast<std::size_t>(m) >= touches_.size() ||
+      static_cast<std::size_t>(f) >=
+          touches_[static_cast<std::size_t>(m)].size())
     return nullptr;
-  FnJit* fj = compiled(m, f);
+  FnJit* fj = variants_[profiled ? 1 : 0]
+                  .fns[static_cast<std::size_t>(m)][static_cast<std::size_t>(f)]
+                  .load(std::memory_order_acquire);
   if (!fj) {
     if (threshold_ > 1) {
       const std::uint64_t t =
@@ -1357,7 +1396,7 @@ const void* JitImage::entryFor(std::int32_t m, std::int32_t f, std::int32_t j,
       if (t < threshold_) return nullptr;
     }
     std::lock_guard<std::mutex> lk(compileMutex_);
-    fj = compileLocked(m, f);
+    fj = compileLocked(profiled, m, f);
     if (!fj) return nullptr;
   }
   if (!fj->base) return nullptr;
@@ -1369,10 +1408,10 @@ const void* JitImage::entryFor(std::int32_t m, std::int32_t f, std::int32_t j,
 }
 
 const void* JitImage::entryForPC(std::uint64_t pc, std::uint64_t ic,
-                                 std::uint64_t limit) {
+                                 std::uint64_t limit, bool profiled) {
   const CodeLoc loc = image_.locate(pc);
   if (!loc.valid()) return nullptr;
-  return entryFor(loc.module, loc.func, loc.instr, ic, limit);
+  return entryFor(loc.module, loc.func, loc.instr, ic, limit, profiled);
 }
 
 void JitImage::enter(JitContext& ctx, const void* target) const {
@@ -1384,7 +1423,7 @@ void JitImage::enter(JitContext& ctx, const void* target) const {
 
 std::size_t JitImage::compiledFunctions() const {
   std::size_t n = 0;
-  for (const auto& mod : fns_)
+  for (const auto& mod : variants_[0].fns)
     for (const auto& cell : mod) {
       const FnJit* fj = cell.load(std::memory_order_acquire);
       if (fj && fj->base) ++n;
@@ -1394,7 +1433,9 @@ std::size_t JitImage::compiledFunctions() const {
 
 const void* jitResolveRet(JitContext* ctx, std::uint64_t pc) {
   JitImage* ji = static_cast<JitImage*>(const_cast<void*>(ctx->jit));
-  if (const void* e = ji->entryForPC(pc, ctx->ic, ctx->budget)) return e;
+  if (const void* e =
+          ji->entryForPC(pc, ctx->ic, ctx->budget, ctx->prof != nullptr))
+    return e;
   ctx->retPC = pc;
   return nullptr;
 }

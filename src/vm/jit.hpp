@@ -28,7 +28,13 @@
 //    native execution resumes at the next instruction. An access to a
 //    SECDED-shadowed page, which Memory never caches in its TLB, leaves the
 //    same way from the TLB-miss stub, so the interpreter's typed path
-//    verifies it.
+//    verifies it;
+//  * profiling runs keep the interpreters' per-instruction counts: each
+//    function has a second, profiling variant, compiled on a profiling
+//    executor's first entry, that increments the executor's counter row
+//    (JitContext::prof) next to every ++ic and un-counts on the same paths
+//    that undo ++ic. It calls only its own variant through its own slot
+//    table, and the clean variant's code does not change.
 //
 // Compilation is per-function, on the Nth driver touch
 // (CARE_JIT_THRESHOLD, default 1 = first touch), into chunks that are
@@ -95,6 +101,11 @@ struct JitContext {
   std::int32_t exitKind = 0;         // JitExit
   std::int32_t trapKind = 0;         // TrapKind at a Trap exit
   std::int32_t module = 0, func = 0, instr = 0; // position at exit
+  // Profiling run: the owning Executor's flat per-instruction counter row
+  // (Image::profileSlots), which the profiling variant increments; null
+  // selects the clean variant. Last, so the clean variant's field offsets
+  // (and with them its emitted bytes) do not depend on it.
+  std::uint64_t* prof = nullptr;
 };
 
 /// Why native execution returned to the driver.
@@ -119,17 +130,19 @@ public:
   JitImage& operator=(const JitImage&) = delete;
 
   /// Native address to enter for position (m, f, j) under the given
-  /// counter/limit, or nullptr when the driver should interpret instead:
-  /// the function is below its compile threshold (touches are counted
-  /// here), compilation failed, or the remainder of j's basic block no
-  /// longer fits `limit` (the budget-exactness deopt).
+  /// counter/limit, in the clean or the profiling variant, or nullptr when
+  /// the driver should interpret instead: the function is below its
+  /// compile threshold (touches are counted here, shared by both
+  /// variants), compilation failed, or the remainder of j's basic block no
+  /// longer fits `limit` (the budget-exactness deopt). Each variant of a
+  /// function is compiled on its own first entry past the threshold.
   const void* entryFor(std::int32_t m, std::int32_t f, std::int32_t j,
-                       std::uint64_t ic, std::uint64_t limit);
+                       std::uint64_t ic, std::uint64_t limit, bool profiled);
 
   /// entryFor for a raw code address (the Ret path): resolves `pc` through
   /// Image::locate. Returns nullptr for wild PCs too.
   const void* entryForPC(std::uint64_t pc, std::uint64_t ic,
-                         std::uint64_t limit);
+                         std::uint64_t limit, bool profiled);
 
   /// The shared entry thunk: saves host state, seats the fixed registers
   /// from `ctx`, jumps to `target` (a value from entryFor).
@@ -141,23 +154,30 @@ public:
   /// and interpret everything.
   bool usable() const { return !broken_; }
 
-  /// Compiled-function count (tests/telemetry).
+  /// Compiled-function count of the clean variant (tests/telemetry).
   std::size_t compiledFunctions() const;
 
 private:
   struct FnJit;
   struct Chunk;
 
-  FnJit* compiled(std::int32_t m, std::int32_t f);
-  FnJit* compileLocked(std::int32_t m, std::int32_t f);
+  // One compiled flavour of every function. The profiling variant differs
+  // from the clean one only by its counter updates, and has its own call
+  // slots, so profiled code only ever calls profiled code.
+  struct Variant {
+    // One slot per function: the address cross-function call templates
+    // jump through. Initially the function's CrossEnter stub (shared by
+    // both variants); atomically repointed at the real entry once
+    // compiled. Lives in plain data, never in code.
+    std::vector<std::vector<std::atomic<const void*>>> slots;
+    std::vector<std::vector<std::atomic<FnJit*>>> fns;
+  };
+
+  FnJit* compileLocked(bool profiled, std::int32_t m, std::int32_t f);
 
   const Image& image_;
   std::uint64_t threshold_;
-  // One slot per function: the address cross-function call templates jump
-  // through. Initially the function's CrossEnter stub; atomically repointed
-  // at the real entry once compiled. Lives in plain data, never in code.
-  std::vector<std::vector<std::atomic<const void*>>> slots_;
-  std::vector<std::vector<std::atomic<FnJit*>>> fns_;
+  Variant variants_[2]; // [0] clean, [1] profiling
   std::vector<std::vector<std::atomic<std::uint64_t>>> touches_;
   std::vector<std::unique_ptr<Chunk>> chunks_;
   std::vector<std::unique_ptr<FnJit>> fnStore_;

@@ -38,6 +38,8 @@ std::int32_t Image::load(const MModule* mod) {
   std::uint64_t cursor = lm.codeBase;
   for (const backend::MFunction& f : mod->functions) {
     lm.funcBase.push_back(cursor);
+    lm.profileBase.push_back(profileSlots_);
+    profileSlots_ += f.code.size() + 1;
     cursor += f.code.size() * 4;
     cursor = (cursor + 15) & ~15ull; // align next function
   }

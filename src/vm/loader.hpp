@@ -35,6 +35,10 @@ struct LoadedModule {
   std::uint64_t codeBase = 0;
   std::uint64_t codeEnd = 0;
   std::vector<std::uint64_t> funcBase;    // code address of each function
+  /// Flat profile-counter slot of each function's instruction 0. Every
+  /// function owns code.size() + 1 consecutive slots (one pad slot, see
+  /// Executor::enableProfiling), laid out in load order across modules.
+  std::vector<std::size_t> profileBase;
   std::vector<std::uint64_t> globalAddr;  // data address of each global
   std::vector<FuncRef> externTargets;     // resolved extern table
 };
@@ -67,6 +71,9 @@ public:
 
   /// dladdr analogue: which module/function/instruction does `pc` hit?
   CodeLoc locate(std::uint64_t pc) const;
+
+  /// Total profile-counter slots over every loaded function.
+  std::size_t profileSlots() const { return profileSlots_; }
 
   /// PC of instruction `instr` of function `func` in module `module`.
   std::uint64_t pcOf(std::int32_t module, std::int32_t func,
@@ -105,6 +112,7 @@ public:
 
 private:
   std::vector<LoadedModule> modules_;
+  std::size_t profileSlots_ = 0;
   mutable std::once_flag decodeOnce_;
   mutable std::unique_ptr<const DecodedImage> decoded_;
   mutable std::once_flag jitOnce_;

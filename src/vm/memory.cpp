@@ -88,11 +88,13 @@ void Memory::moveEccFrom(Memory& other) {
   eccUncorrectable_ = other.eccUncorrectable_;
   eccPages_ = std::move(other.eccPages_);
   eccWordCrc_ = std::move(other.eccWordCrc_);
+  eccPending_ = std::move(other.eccPending_);
   other.eccMode_ = EccMode::Off;
   other.eccCorrected_ = 0;
   other.eccUncorrectable_ = 0;
   other.eccPages_.clear();
   other.eccWordCrc_.clear();
+  other.eccPending_.clear();
 }
 
 Memory::Memory(Memory&& other) noexcept : pages_(std::move(other.pages_)) {
@@ -254,6 +256,7 @@ bool Memory::injectFault(std::uint64_t addr, const std::vector<unsigned>& bits) 
   if (!page) return false;
   if (eccMode_ != EccMode::Off) {
     ensureEccPage(pageNo, page);
+    eccPending_.insert(wordAddr);
     // The page has a shadow now: evict it, so the next access misses and
     // finds it uncacheable.
     for (Tlb* tlb : {&readTlb_, &writeTlb_}) {
@@ -302,6 +305,7 @@ MemStatus Memory::eccCheckWord(std::uint64_t wordAddr) {
     ++eccCorrected_;
     if (fixed != word) std::memcpy(page + off, &fixed, 8);
     eccPageForWrite(wordAddr / kPageSize)[wi] = ecc::secdedEncode(fixed);
+    eccHealWord(wordAddr);
   }
   return MemStatus::Ok;
 }
@@ -316,8 +320,20 @@ void Memory::eccEncodeWord(std::uint64_t wordAddr) {
   std::memcpy(&word, page + off, 8);
   eccPageForWrite(pageNo)[off / 8] = ecc::secdedEncode(word);
   // An overwrite retires any pending scrub entry: the faulted pre-image is
-  // gone, so there is nothing left to cross-check.
+  // gone, so there is nothing left to cross-check, and the word is healed.
   if (eccMode_ == EccMode::SecdedCrc) eccWordCrc_.erase(wordAddr);
+  eccHealWord(wordAddr);
+}
+
+void Memory::eccHealWord(std::uint64_t wordAddr) {
+  if (eccPending_.erase(wordAddr) == 0) return;
+  const std::uint64_t pageNo = wordAddr / kPageSize;
+  const auto next = eccPending_.lower_bound(pageNo * kPageSize);
+  if (next != eccPending_.end() && *next / kPageSize == pageNo) return;
+  // Every word of the page matches its code again: without a shadow the
+  // page reads exactly the same, and it may re-enter the TLB on its next
+  // miss.
+  eccPages_.erase(pageNo);
 }
 
 void Memory::ensureEccPage(std::uint64_t pageNo, const std::uint8_t* pageData) {
@@ -361,6 +377,7 @@ Memory Memory::clone() const {
   out.eccUncorrectable_ = eccUncorrectable_;
   out.eccPages_ = eccPages_;
   out.eccWordCrc_ = eccWordCrc_;
+  out.eccPending_ = eccPending_;
   return out;
 }
 
@@ -372,6 +389,7 @@ void Memory::restoreFrom(const Memory& other) {
   eccUncorrectable_ = other.eccUncorrectable_;
   eccPages_ = other.eccPages_;
   eccWordCrc_ = other.eccWordCrc_;
+  eccPending_ = other.eccPending_;
   flushTlb();
 }
 
@@ -381,6 +399,7 @@ MemorySnapshot MemorySnapshot::capture(Memory& m) {
   s.pages_ = m.pages_;
   s.eccPages_ = m.eccPages_;
   s.eccWordCrc_ = m.eccWordCrc_;
+  s.eccPending_ = m.eccPending_;
   return s;
 }
 
@@ -393,6 +412,7 @@ Memory MemorySnapshot::fork() const {
   out.pages_ = pages_;
   out.eccPages_ = eccPages_;
   out.eccWordCrc_ = eccWordCrc_;
+  out.eccPending_ = eccPending_;
   return out;
 }
 

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -78,7 +79,11 @@ public:
   /// gets a code-byte shadow only when injectFault() touches it — every
   /// other store goes through the typed accessors, which keep any existing
   /// shadow in sync, so a page without a shadow is by construction clean
-  /// and behaves exactly as if it had been eagerly encoded. Typed loads
+  /// and behaves exactly as if it had been eagerly encoded. The struck word
+  /// stays pending until a check corrects it or an overwrite re-encodes it
+  /// (retiring its CRC-scrub entry); once no word of a page is pending, the
+  /// page is clean again and its shadow is dropped. An uncorrectable
+  /// verdict leaves the word pending, so the shadow stays. Typed loads
   /// verify (and correct) the containing 64-bit word before reading;
   /// sub-word stores verify first so a latent corrupted neighbor byte is
   /// never laundered into a freshly encoded word. Uncorrectable words
@@ -86,7 +91,8 @@ public:
   ///
   /// TLB invariant: a shadowed page never enters readTlb_/writeTlb_.
   /// readPage()/writePage() still return its data, but through the miss
-  /// path, and injectFault() evicts the page when it grows the shadow. An
+  /// path, and injectFault() evicts the page when it grows the shadow; a
+  /// page whose shadow was dropped refills on its next miss. An
   /// inline TLB hit — the emitted JIT code's whole memory path — therefore
   /// always lands on a clean page; the JIT's miss helpers report a
   /// shadowed page so the instruction leaves native code and runs on the
@@ -195,6 +201,8 @@ private:
   using EccPageMap =
       std::unordered_map<std::uint64_t, std::shared_ptr<EccPage>>;
   using EccCrcMap = std::unordered_map<std::uint64_t, std::uint64_t>;
+  /// Struck word addresses, ordered so a page's range is one lookup.
+  using EccPendingSet = std::set<std::uint64_t>;
 
   const std::uint8_t* readMiss(std::uint64_t pageNo) const;
   std::uint8_t* writeMiss(std::uint64_t pageNo);
@@ -209,9 +217,14 @@ private:
   /// Verify/correct the shadowed word at `wordAddr` (8-aligned). Ok when
   /// the page has no shadow.
   MemStatus eccCheckWord(std::uint64_t wordAddr);
-  /// Recompute the code byte for the (just overwritten) word at `wordAddr`
-  /// and drop any pending CRC-scrub entry. No-op without a shadow.
+  /// Recompute the code byte for the (just overwritten) word at `wordAddr`,
+  /// drop any pending CRC-scrub entry and heal the word. No-op without a
+  /// shadow.
   void eccEncodeWord(std::uint64_t wordAddr);
+  /// The word at `wordAddr` is consistent with its code again: retire it
+  /// from eccPending_, and drop its page's shadow if no word there is left
+  /// pending.
+  void eccHealWord(std::uint64_t wordAddr);
   void ensureEccPage(std::uint64_t pageNo, const std::uint8_t* pageData);
   EccPage& eccPageForWrite(std::uint64_t pageNo);
   void moveEccFrom(Memory& other);
@@ -224,6 +237,7 @@ private:
   std::uint64_t eccUncorrectable_ = 0;
   EccPageMap eccPages_;
   EccCrcMap eccWordCrc_;
+  EccPendingSet eccPending_;
   /// Armed by setAccessTrace(); mutable so const loads can record. Not
   /// moved with the address space — a trace belongs to one executor's run.
   mutable std::vector<std::uint64_t>* traceSink_ = nullptr;
@@ -256,6 +270,7 @@ private:
   // re-applies them across fork()).
   Memory::EccPageMap eccPages_;
   Memory::EccCrcMap eccWordCrc_;
+  Memory::EccPendingSet eccPending_;
 };
 
 } // namespace care::vm

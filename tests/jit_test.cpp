@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <string>
 
 #include "inject/experiment.hpp"
 #include "support/error.hpp"
@@ -26,6 +27,21 @@ namespace {
 struct InterpGuard {
   vm::InterpKind saved = vm::defaultInterp();
   ~InterpGuard() { vm::setDefaultInterp(saved); }
+};
+
+/// Pins CARE_JIT_THRESHOLD to 1 (compile on first touch) for the Images
+/// built in scope, restoring the caller's value on exit. The assertions on
+/// how much of a run goes native are statements about the default
+/// threshold; under a raised one (a CI leg) a short run spends its first
+/// touches of every function interpreting.
+struct FirstTouchThreshold {
+  const char* prev = std::getenv("CARE_JIT_THRESHOLD");
+  std::string saved = prev ? prev : "";
+  FirstTouchThreshold() { ::setenv("CARE_JIT_THRESHOLD", "1", 1); }
+  ~FirstTouchThreshold() {
+    if (prev) ::setenv("CARE_JIT_THRESHOLD", saved.c_str(), 1);
+    else ::unsetenv("CARE_JIT_THRESHOLD");
+  }
 };
 
 // --- backend selection (satellite: --interp / CARE_INTERP error path) -------
@@ -124,6 +140,7 @@ constexpr const char* kLoopProgram = R"(
 
 TEST(Jit, CompilesHotFunctionsAndMatchesFast) {
   if (!vm::jitAvailable()) GTEST_SKIP() << "no executable mappings";
+  FirstTouchThreshold pin;
   Program p = buildProgram(kLoopProgram, opt::OptLevel::O0);
 
   vm::Executor fast(p.image.get());
@@ -468,6 +485,7 @@ TEST(Jit, MemoryFaultCampaignSerializesIdenticallyToFast) {
 // the fast interpreter (before native ECC, all of them).
 TEST(Jit, EccArmedCleanRunsStayOnNativeCode) {
   if (!vm::jitAvailable()) GTEST_SKIP() << "no executable mappings";
+  FirstTouchThreshold pin;
   for (const workloads::Workload* w : workloads::allWorkloads()) {
     inject::ExperimentConfig ecfg;
     ecfg.cacheDir = "care_test_artifacts/jit_ecc_clean";
@@ -477,6 +495,31 @@ TEST(Jit, EccArmedCleanRunsStayOnNativeCode) {
     vm::Executor ex(built.image.get());
     ex.setInterp(vm::InterpKind::Jit);
     ex.memory().setEccMode(vm::EccMode::Secded);
+    ex.setBudget(500'000'000);
+    const vm::RunResult r = vm::runToCompletion(ex, w->entry);
+    ASSERT_EQ(r.status, vm::RunStatus::Done) << w->name;
+    EXPECT_LT(ex.jitInterpretedInstrs() * 100, r.instrCount)
+        << w->name << ": " << ex.jitInterpretedInstrs() << " of "
+        << r.instrCount << " instructions interpreted";
+  }
+}
+
+// The driver's interpreter share on profiling runs (Campaign::profile's
+// golden run): the profiling variant counts in native code, so a profiled
+// run of each workload retires under 1% of its instructions on the fast
+// interpreter.
+TEST(Jit, ProfilingRunsStayOnNativeCode) {
+  if (!vm::jitAvailable()) GTEST_SKIP() << "no executable mappings";
+  FirstTouchThreshold pin;
+  for (const workloads::Workload* w : workloads::allWorkloads()) {
+    inject::ExperimentConfig ecfg;
+    ecfg.cacheDir = "care_test_artifacts/jit_profile_native";
+    ecfg.armor.detectAuto = false;
+    ecfg.armor.detectSampleAuto = false;
+    const inject::BuiltWorkload built = inject::buildWorkload(*w, ecfg);
+    vm::Executor ex(built.image.get());
+    ex.setInterp(vm::InterpKind::Jit);
+    ex.enableProfiling();
     ex.setBudget(500'000'000);
     const vm::RunResult r = vm::runToCompletion(ex, w->entry);
     ASSERT_EQ(r.status, vm::RunStatus::Done) << w->name;

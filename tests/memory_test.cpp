@@ -155,11 +155,14 @@ TEST(MemoryTlb, MapInvalidatesExistingTranslations) {
   EXPECT_EQ(v, 0x11u);
 }
 
-// The invariant the JIT's native ECC path rests on (memory.hpp): once a
+// The invariant the JIT's native ECC path rests on (memory.hpp): while a
 // page carries a SECDED shadow it never sits in either TLB, while
 // readPage()/writePage() and the typed accessors keep serving it — also in
 // the copies restoreFrom() and MemorySnapshot::fork() make, which carry the
 // shadow along. Other pages, and every page with ECC off, cache as before.
+// The strike lands on a word the accesses below never touch, so it stays
+// pending and the shadow stays up (EccHealedPageReentersTheTlb covers the
+// heal).
 bool tlbHolds(const Memory& m, std::uint64_t pageNo) {
   const auto [readTlb, writeTlb] = m.jitTlbView();
   for (const void* view : {readTlb, writeTlb})
@@ -171,6 +174,7 @@ bool tlbHolds(const Memory& m, std::uint64_t pageNo) {
 TEST(MemoryTlb, EccShadowedPageNeverEntersTheTlb) {
   constexpr std::uint64_t kHit = 3, kOther = 4; // page numbers
   constexpr std::uint64_t kWord = 0x1234;
+  constexpr std::uint64_t kStruck = 24; // page offset no touch() reaches
   const auto touch = [](Memory& m, std::uint64_t pageNo,
                         std::uint64_t expect) {
     std::uint64_t v = 0;
@@ -185,8 +189,6 @@ TEST(MemoryTlb, EccShadowedPageNeverEntersTheTlb) {
   for (const vm::EccMode mode : {vm::EccMode::Secded, vm::EccMode::Off}) {
     SCOPED_TRACE(vm::eccModeName(mode));
     const bool shadowed = mode != vm::EccMode::Off;
-    // SECDED corrects the strike on the first load; without ECC it stays.
-    const std::uint64_t struck = shadowed ? kWord : kWord ^ (1u << 5);
     Memory m;
     m.map(0, 8 * kPage);
     m.setEccMode(mode);
@@ -196,26 +198,116 @@ TEST(MemoryTlb, EccShadowedPageNeverEntersTheTlb) {
       ASSERT_TRUE(tlbHolds(m, p)) << "page " << p << " not warm";
     }
 
-    ASSERT_TRUE(m.injectFault(kHit * kPage + 8, {5}));
+    ASSERT_TRUE(m.injectFault(kHit * kPage + kStruck, {5}));
     EXPECT_EQ(tlbHolds(m, kHit), !shadowed) << "strike left the page cached";
-    touch(m, kHit, struck);
-    EXPECT_EQ(m.eccCorrected(), shadowed ? 1u : 0u);
+    touch(m, kHit, kWord);
+    EXPECT_EQ(m.eccCorrected(), 0u);
+    EXPECT_EQ(m.eccShadowed(kHit), shadowed);
     EXPECT_EQ(tlbHolds(m, kHit), !shadowed);
     touch(m, kOther, kWord);
     EXPECT_TRUE(tlbHolds(m, kOther));
 
     Memory restored;
     restored.restoreFrom(m);
-    touch(restored, kHit, struck);
+    touch(restored, kHit, kWord);
     EXPECT_EQ(tlbHolds(restored, kHit), !shadowed) << "after restoreFrom";
 
     const MemorySnapshot snap = MemorySnapshot::capture(m);
     Memory forked = snap.fork();
     forked.setEccMode(mode);
-    touch(forked, kHit, struck);
+    touch(forked, kHit, kWord);
     EXPECT_EQ(tlbHolds(forked, kHit), !shadowed) << "after fork";
     touch(forked, kOther, kWord);
     EXPECT_TRUE(tlbHolds(forked, kOther));
+  }
+}
+
+// A struck page sheds its shadow once no word in it is pending: after
+// SECDED corrects the struck word on a read, or after a store overwrites it
+// (the CRC-scrub entry goes with it under secded,crc). The healed page then
+// caches again like any clean page, and the correction counters are what
+// they were with the shadow kept. An uncorrectable verdict keeps the word
+// pending, so the shadow and the TLB exclusion stay. A restoreFrom() of a
+// copy taken before the heal brings the shadow back.
+TEST(MemoryTlb, EccHealedPageReentersTheTlb) {
+  constexpr std::uint64_t kHit = 3; // page number
+  constexpr std::uint64_t kAddr = kHit * kPage + 40;
+  constexpr std::uint64_t kWord = 0xfeedfacecafeull;
+  // Touch a word of the page other than the struck one, through both TLB
+  // views; the page caches iff it carries no shadow.
+  const auto touchOther = [](Memory& m) {
+    std::uint64_t v = 0;
+    EXPECT_EQ(m.load(kHit * kPage + 8, MType::I64, v), MemStatus::Ok);
+    EXPECT_EQ(m.store(kHit * kPage + 16, MType::I64, 7), MemStatus::Ok);
+  };
+  const auto struckPage = [&](vm::EccMode mode) {
+    Memory m;
+    m.map(0, 8 * kPage);
+    m.setEccMode(mode);
+    EXPECT_EQ(m.store(kAddr, MType::I64, kWord), MemStatus::Ok);
+    touchOther(m);
+    EXPECT_TRUE(tlbHolds(m, kHit));
+    EXPECT_TRUE(m.injectFault(kAddr, {9}));
+    touchOther(m);
+    EXPECT_TRUE(m.eccShadowed(kHit));
+    EXPECT_FALSE(tlbHolds(m, kHit)) << "pending word, yet the page cached";
+    return m;
+  };
+
+  for (const vm::EccMode mode : {vm::EccMode::Secded, vm::EccMode::SecdedCrc}) {
+    SCOPED_TRACE(vm::eccModeName(mode));
+    {
+      SCOPED_TRACE("heal by correction");
+      Memory m = struckPage(mode);
+      const Memory beforeHeal = m.clone();
+      std::uint64_t v = 0;
+      ASSERT_EQ(m.load(kAddr, MType::I64, v), MemStatus::Ok);
+      EXPECT_EQ(v, kWord);
+      EXPECT_EQ(m.eccCorrected(), 1u);
+      EXPECT_FALSE(m.eccShadowed(kHit));
+      touchOther(m);
+      EXPECT_TRUE(tlbHolds(m, kHit)) << "healed page did not cache";
+      EXPECT_EQ(m.scrubEcc(), std::make_pair(std::uint64_t{0},
+                                             std::uint64_t{0}));
+
+      // Rolling back to before the heal restores the shadow, and with it
+      // the pending word, which corrects once more.
+      m.restoreFrom(beforeHeal);
+      EXPECT_TRUE(m.eccShadowed(kHit));
+      touchOther(m);
+      EXPECT_FALSE(tlbHolds(m, kHit)) << "restored shadow, yet cached";
+      ASSERT_EQ(m.load(kAddr, MType::I64, v), MemStatus::Ok);
+      EXPECT_EQ(v, kWord);
+      EXPECT_EQ(m.eccCorrected(), 1u) << "restoreFrom reseats the counters";
+      EXPECT_FALSE(m.eccShadowed(kHit));
+    }
+    {
+      SCOPED_TRACE("heal by overwrite");
+      Memory m = struckPage(mode);
+      ASSERT_EQ(m.store(kAddr, MType::I64, 5), MemStatus::Ok);
+      EXPECT_EQ(m.eccCorrected(), 0u);
+      EXPECT_FALSE(m.eccShadowed(kHit));
+      touchOther(m);
+      EXPECT_TRUE(tlbHolds(m, kHit)) << "healed page did not cache";
+      std::uint64_t v = 0;
+      ASSERT_EQ(m.load(kAddr, MType::I64, v), MemStatus::Ok);
+      EXPECT_EQ(v, 5u);
+      EXPECT_EQ(m.scrubEcc(), std::make_pair(std::uint64_t{0},
+                                             std::uint64_t{0}));
+    }
+    {
+      SCOPED_TRACE("uncorrectable");
+      Memory m;
+      m.map(0, 8 * kPage);
+      m.setEccMode(mode);
+      ASSERT_EQ(m.store(kAddr, MType::I64, kWord), MemStatus::Ok);
+      ASSERT_TRUE(m.injectFault(kAddr, {9, 10}));
+      std::uint64_t v = 0;
+      EXPECT_EQ(m.load(kAddr, MType::I64, v), MemStatus::EccUncorrectable);
+      EXPECT_TRUE(m.eccShadowed(kHit));
+      touchOther(m);
+      EXPECT_FALSE(tlbHolds(m, kHit));
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 // serializeDeterministic().
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 
 #include "inject/experiment.hpp"
@@ -155,6 +156,60 @@ TEST(ReplayCache, TinyIntervalIsClampedToBoundedSegmentCount) {
   ASSERT_TRUE(c.profile());
   EXPECT_GT(c.checkpointInterval(), 0u);
   EXPECT_LE(c.checkpoints().size(), 4096u);
+}
+
+// Memory-fault campaigns take no per-site counts (they sample a time and a
+// word, not a site), so their golden run is not profiled and their replay
+// checkpoints carry no siteCounts. The boundary states themselves must be
+// exactly those of the profiled register-model pass over the same image:
+// same position, count, registers, output and address space at every
+// boundary, on every backend.
+TEST(ReplayCache, MemoryFaultCheckpointsSkipCountsButMatchProfiledStates) {
+  ReplayEnv env;
+  InterpGuard guard;
+  const auto bytesOf = [](const vm::MemorySnapshot& snap) {
+    const vm::Memory mem = snap.fork();
+    std::vector<std::uint8_t> out;
+    for (const std::uint64_t pn : mem.pageNumbers()) {
+      const std::size_t at = out.size();
+      out.resize(at + vm::Memory::kPageSize);
+      EXPECT_TRUE(mem.readBytes(pn * vm::Memory::kPageSize, out.data() + at,
+                                vm::Memory::kPageSize));
+    }
+    return out;
+  };
+  for (vm::InterpKind interp :
+       {vm::InterpKind::Fast, vm::InterpKind::Ref, vm::InterpKind::Jit}) {
+    vm::setDefaultInterp(interp);
+    SCOPED_TRACE(vm::interpName(interp));
+    CampaignConfig regCfg = pinnedConfig();
+    regCfg.checkpointEveryInstrs = 400;
+    CampaignConfig memCfg = regCfg;
+    memCfg.fault = inject::FaultModel::Mem1;
+    Campaign reg(env.p.image.get(), regCfg);
+    Campaign mem(env.p.image.get(), memCfg);
+    ASSERT_TRUE(reg.profile());
+    ASSERT_TRUE(mem.profile());
+    ASSERT_EQ(mem.goldenInstrs(), reg.goldenInstrs());
+    ASSERT_EQ(mem.goldenOutput(), reg.goldenOutput());
+    ASSERT_EQ(mem.checkpointInterval(), reg.checkpointInterval());
+    ASSERT_GE(reg.checkpoints().size(), 3u);
+    ASSERT_EQ(mem.checkpoints().size(), reg.checkpoints().size());
+    for (std::size_t i = 0; i < reg.checkpoints().size(); ++i) {
+      const vm::Executor::ResumePoint& a = reg.checkpoints()[i].rp;
+      const vm::Executor::ResumePoint& b = mem.checkpoints()[i].rp;
+      EXPECT_FALSE(reg.checkpoints()[i].siteCounts.empty());
+      EXPECT_TRUE(mem.checkpoints()[i].siteCounts.empty()) << i;
+      EXPECT_EQ(a.instrCount, b.instrCount) << i;
+      EXPECT_EQ(a.module, b.module) << i;
+      EXPECT_EQ(a.func, b.func) << i;
+      EXPECT_EQ(a.instr, b.instr) << i;
+      EXPECT_EQ(a.started, b.started) << i;
+      EXPECT_EQ(std::memcmp(&a.st, &b.st, sizeof a.st), 0) << i;
+      EXPECT_EQ(a.output, b.output) << i;
+      EXPECT_EQ(bytesOf(a.mem), bytesOf(b.mem)) << i;
+    }
+  }
 }
 
 TEST(ReplayCache, CareRerunFromCheckpointMatchesFromScratch) {

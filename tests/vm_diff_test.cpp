@@ -10,7 +10,11 @@
 //    instructions (exact-budget deopt on the JIT side),
 //  * trapping programs (SegFault / Fpe),
 //  * fuzzed injection runs that corrupt a register mid-flight at sampled hot
-//    instructions and let the corruption play out to whatever end state.
+//    instructions and let the corruption play out to whatever end state,
+//  * profiled runs, where the JIT counts in native code: checkpointed runs
+//    compared at every segment boundary (stops landing mid-block), a
+//    SIGSEGV Safeguard repairs and retries, and profiling switched on by a
+//    trap hook mid-run.
 // All backends in a leg share ONE Image: rebuilding a sentinel-armed module
 // is not bit-deterministic across in-process builds, and the contract under
 // test is per-image equivalence.
@@ -20,10 +24,13 @@
 #include <cctype>
 #include <cstring>
 
+#include "care/safeguard.hpp"
+#include "inject/experiment.hpp"
 #include "sentinel/sentinel.hpp"
 #include "support/md5.hpp"
 #include "support/rng.hpp"
 #include "testutil.hpp"
+#include "vm/checkpoint_ring.hpp"
 #include "vm/decode.hpp"
 #include "vm/jit.hpp"
 #include "workloads/workloads.hpp"
@@ -179,6 +186,118 @@ TEST_P(WorkloadDiff, BudgetCappedRunStopsIdentically) {
         diffAllBackends(image.get(), w.entry, tag, /*profile=*/false,
                         [budget](vm::Executor& ex) { ex.setBudget(budget); });
     ASSERT_EQ(res[0].status, vm::RunStatus::BudgetExceeded) << tag;
+  }
+}
+
+// --- profiled runs: the JIT counts in native code --------------------------
+
+// FNV-1a over the 64-bit words of `bytes` (a multiple of 8): a cheap
+// fingerprint for per-boundary state.
+std::uint64_t fnv(std::uint64_t h, const void* p, std::size_t bytes) {
+  const auto* b = static_cast<const std::uint8_t*>(p);
+  for (std::size_t i = 0; i + 8 <= bytes; i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, b + i, 8);
+    h = (h ^ w) * 0x100000001b3ull;
+  }
+  return h;
+}
+constexpr std::uint64_t kFnvSeed = 0xcbf29ce484222325ull;
+
+// Every profile counter, in (module, func, instr) order.
+std::vector<std::uint64_t> profileCounts(const vm::Image& image,
+                                         const vm::Executor& ex) {
+  std::vector<std::uint64_t> out;
+  for (std::size_t m = 0; m < image.numModules(); ++m) {
+    const auto& fns = image.module(m).mod->functions;
+    for (std::size_t fi = 0; fi < fns.size(); ++fi)
+      for (std::size_t i = 0; i < fns[fi].code.size(); ++i)
+        out.push_back(ex.profileCount({static_cast<std::int32_t>(m),
+                                       static_cast<std::int32_t>(fi),
+                                       static_cast<std::int32_t>(i)}));
+  }
+  return out;
+}
+
+// One segment boundary of a checkpointed run: the ResumePoint's position
+// and count verbatim, fingerprints of its registers, output and (when
+// asked) address space, and of every profile counter at that moment.
+struct Boundary {
+  std::uint64_t instrCount;
+  std::int32_t module, func, instr;
+  bool started;
+  std::uint64_t regs, output, memory, profile;
+  bool operator==(const Boundary&) const = default;
+};
+
+Boundary captureBoundary(const vm::Image& image, vm::Executor& ex,
+                         bool withMemory) {
+  const vm::Executor::ResumePoint rp = ex.resumePoint();
+  Boundary b{rp.instrCount, rp.module, rp.func, rp.instr, rp.started,
+             0,             0,         0,       0};
+  b.regs = fnv(fnv(kFnvSeed, rp.st.g, sizeof rp.st.g), rp.st.f,
+               sizeof rp.st.f);
+  b.output = fnv(kFnvSeed, rp.output.data(), 8 * rp.output.size());
+  if (withMemory) {
+    const vm::Memory mem = rp.mem.fork();
+    std::vector<std::uint8_t> page(vm::Memory::kPageSize);
+    b.memory = kFnvSeed;
+    for (const std::uint64_t pn : mem.pageNumbers()) {
+      EXPECT_TRUE(mem.readBytes(pn * vm::Memory::kPageSize, page.data(),
+                                page.size()));
+      b.memory = fnv(fnv(b.memory, &pn, 8), page.data(), page.size());
+    }
+  }
+  const std::vector<std::uint64_t> counts = profileCounts(image, ex);
+  b.profile = fnv(kFnvSeed, counts.data(), 8 * counts.size());
+  return b;
+}
+
+// A profiled run paused every `interval` instructions by runCheckpointed,
+// the way Campaign::profile's checkpoint pass drives it: at every boundary
+// the ResumePoint and every profile counter must match across backends.
+// golden/64 is the campaign's auto spacing; the odd 997 stops mid-block,
+// so the JIT deopts to the interpreter for the block's tail and resumes
+// the profiling variant at the next block, counting into the same rows.
+TEST_P(WorkloadDiff, ProfiledCheckpointedRunsMatchAtEveryBoundary) {
+  const Workload& w = *GetParam();
+  BuildKeep keep;
+  const auto image = lowerWorkload(w, keep);
+  vm::Executor probe(image.get());
+  probe.setBudget(500'000'000);
+  const vm::RunResult golden = runUnder(probe, vm::InterpKind::Fast, w.entry);
+  ASSERT_EQ(golden.status, vm::RunStatus::Done) << w.name;
+
+  for (const std::uint64_t interval :
+       {golden.instrCount / 64, std::uint64_t{997}}) {
+    const bool withMemory = interval != 997;
+    const std::string tag = w.name + " interval=" + std::to_string(interval);
+    std::array<std::unique_ptr<vm::Executor>, kNumKinds> ex;
+    std::array<vm::RunResult, kNumKinds> res;
+    std::array<std::vector<Boundary>, kNumKinds> bounds;
+    for (std::size_t k = 0; k < kNumKinds; ++k) {
+      ex[k] = std::make_unique<vm::Executor>(image.get());
+      ex[k]->setInterp(kKinds[k]);
+      ex[k]->enableProfiling();
+      res[k] = vm::runCheckpointed(
+          *ex[k], w.entry, interval, 500'000'000, [&](vm::Executor& e) {
+            bounds[k].push_back(captureBoundary(*image, e, withMemory));
+          });
+    }
+    ASSERT_EQ(res[0].status, vm::RunStatus::Done) << tag;
+    ASSERT_GT(bounds[0].size(), 60u) << tag;
+    for (std::size_t a = 0; a < kNumKinds; ++a)
+      for (std::size_t b = a + 1; b < kNumKinds; ++b) {
+        const std::string t = pairTag(kKinds[a], kKinds[b], tag);
+        expectSameResult(res[a], res[b], t);
+        expectSameMachine(*ex[a], *ex[b], t);
+        expectSameProfile(*image, *ex[a], *ex[b], t);
+        ASSERT_EQ(bounds[a].size(), bounds[b].size()) << t;
+        for (std::size_t i = 0; i < bounds[a].size(); ++i)
+          ASSERT_EQ(bounds[a][i], bounds[b][i])
+              << t << ": boundary " << i << " (instrCount "
+              << bounds[a][i].instrCount << ") differs";
+      }
   }
 }
 
@@ -514,6 +633,191 @@ TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
                     ex[b]->memory().eccUncorrectable()) << t;
         }
     }
+  }
+}
+
+// --- profiled traps ----------------------------------------------------------
+
+// A register fault that Safeguard repairs: a campaign point whose plain run
+// dies of SIGSEGV and whose CARE run recovers. The corruption is applied at
+// an exact budget stop instead of through an armed injection, so on the JIT
+// the profiled run reaches the fault on native code, the SIGSEGV leaves the
+// profiling variant through its trap exit mid-block, and Safeguard's Retry
+// re-enters it at the patched instruction. Counts, registers and output
+// must match ref and fast, which count the trapping instruction once per
+// attempt.
+TEST(ProfiledTrapDiff, SafeguardRepairedSegfaultCountsIdentically) {
+  const Workload& w = workloads::hpccg();
+  inject::ExperimentConfig ecfg;
+  ecfg.cacheDir = "care_test_artifacts/vm_diff_profiled_trap";
+  ecfg.armor.detectAuto = false;
+  ecfg.armor.detectSampleAuto = false;
+  const inject::BuiltWorkload built = inject::buildWorkload(w, ecfg);
+  inject::CampaignConfig cfg;
+  cfg.entry = w.entry;
+  cfg.fault = inject::FaultModel::Reg;
+  cfg.ecc = vm::EccMode::Off;
+  inject::Campaign campaign(built.image.get(), cfg);
+  ASSERT_TRUE(campaign.profile());
+
+  Rng rng(0x5E6F);
+  inject::InjectionPoint pt;
+  bool found = false;
+  for (int i = 0; i < 400 && !found; ++i) {
+    pt = campaign.sample(rng);
+    const inject::InjectionResult plain = campaign.runInjection(pt);
+    found = plain.outcome == inject::Outcome::SoftFailure &&
+            plain.signal == vm::TrapKind::SegFault &&
+            campaign.runInjection(pt, &built.artifacts).careRecovered;
+  }
+  ASSERT_TRUE(found) << "no Safeguard-repairable SIGSEGV among the samples";
+
+  // The instruction count at which the injection fires.
+  std::uint64_t fireAt = 0;
+  {
+    vm::Executor ex(built.image.get());
+    ex.setInterp(vm::InterpKind::Ref);
+    ex.armInjection(pt.loc, pt.nth,
+                    [&fireAt](vm::Executor& e) { fireAt = e.instrCount(); });
+    ASSERT_EQ(runUnder(ex, vm::InterpKind::Ref, w.entry).status,
+              vm::RunStatus::Done);
+  }
+  ASSERT_GT(fireAt, 0u);
+
+  std::array<std::unique_ptr<vm::Executor>, kNumKinds> ex;
+  std::array<std::unique_ptr<core::Safeguard>, kNumKinds> sg;
+  std::array<vm::RunResult, kNumKinds> res;
+  for (std::size_t k = 0; k < kNumKinds; ++k) {
+    ex[k] = std::make_unique<vm::Executor>(built.image.get());
+    ex[k]->setInterp(kKinds[k]);
+    ex[k]->enableProfiling();
+    ex[k]->setBudget(2 * campaign.goldenInstrs());
+    sg[k] = std::make_unique<core::Safeguard>();
+    for (const auto& [mi, arts] : built.artifacts) sg[k]->addModule(mi, arts);
+    sg[k]->attach(*ex[k]);
+    ASSERT_EQ(ex[k]->runBounded(fireAt, w.entry).status,
+              vm::RunStatus::BudgetExceeded);
+    inject::Campaign::corruptDestination(*ex[k], pt.loc, pt.bits);
+    const std::uint64_t interpBefore = ex[k]->jitInterpretedInstrs();
+    res[k] = vm::runToCompletion(*ex[k], w.entry);
+    EXPECT_GT(sg[k]->stats().recovered, 0u) << vm::interpName(kKinds[k]);
+    if (kKinds[k] == vm::InterpKind::Jit && vm::jitAvailable())
+      EXPECT_LT(100 * (ex[k]->jitInterpretedInstrs() - interpBefore),
+                res[k].instrCount - fireAt)
+          << "the repaired remainder did not run on the profiling variant";
+  }
+  ASSERT_EQ(res[0].status, vm::RunStatus::Done);
+  for (std::size_t a = 0; a < kNumKinds; ++a)
+    for (std::size_t b = a + 1; b < kNumKinds; ++b) {
+      const std::string t = pairTag(kKinds[a], kKinds[b], "segv repair");
+      expectSameResult(res[a], res[b], t);
+      expectSameMachine(*ex[a], *ex[b], t);
+      expectSameProfile(*built.image, *ex[a], *ex[b], t);
+      EXPECT_EQ(sg[a]->stats().activations, sg[b]->stats().activations) << t;
+    }
+}
+
+// Profiling switched on by a trap hook mid-run. Every 1000th iteration
+// divides by a zero global (through a register, so the JIT traps in a
+// native template rather than in a single-stepped fused op); the hook enables profiling at the first trap,
+// patches the divisor register and retries. The JIT driver then enters the
+// profiling variant at the retried instruction instead of handing the rest
+// of the run to the interpreter, and the later traps leave the profiling
+// variant through its trap exit. Counts start at the first trap on every
+// backend (enableProfiling zeroes them), so they must match exactly.
+TEST(ProfiledTrapDiff, TrapHookEnablingProfilingSwitchesVariant) {
+  Program p = buildProgram(R"(
+    int d = 0;
+    double acc[512];
+    int main() {
+      int s = 0;
+      for (int i = 0; i < 20000; i = i + 1) {
+        acc[i % 512] = acc[i % 512] + i * 0.5;
+        if (i % 1000 == 999) s = s + 1000 / (d + 0); // register divisor
+      }
+      emit(acc[3]);
+      return s;
+    })", opt::OptLevel::O0);
+  const vm::Image& image = *p.image;
+  std::array<int, kNumKinds> traps{};
+  std::size_t armed = 0; // diffAllBackends arms the backends in kKinds order
+  const auto res = diffAllBackends(
+      p.image.get(), "main", "hook enables profiling", /*profile=*/true,
+      [&image, &traps, &armed](vm::Executor& ex) {
+        const std::size_t k = armed++;
+        ex.setBudget(10'000'000);
+        ex.setTrapHook([&image, &traps, k](vm::Executor& e,
+                                           const vm::Trap& t) {
+          const backend::MInst& in = image.instruction(image.locate(t.pc));
+          if (t.kind != vm::TrapKind::Fpe || in.op != backend::MOp::IDiv ||
+              in.src2 == backend::kNoReg)
+            return vm::TrapAction::Propagate;
+          if (traps[k]++ == 0) e.enableProfiling();
+          e.state().g[in.src2] = 1;
+          return vm::TrapAction::Retry;
+        });
+      });
+  ASSERT_EQ(res[0].status, vm::RunStatus::Done);
+  ASSERT_EQ(res[0].exitCode, 20 * 1000);
+  for (std::size_t k = 0; k < kNumKinds; ++k) EXPECT_EQ(traps[k], 20);
+}
+
+// A profiled run through a SECDED-shadowed page. The strike lands on the
+// word at the stack pointer, so the run touches the struck page again at
+// once: on the JIT the profiling variant's TLB-miss stub finds the page
+// shadowed and exits to the interpreter, un-counting the instruction it had
+// already counted; the interpreter then counts it once. Counts, registers,
+// output, the address space and the ECC counters must match ref and fast.
+TEST(ProfiledTrapDiff, ShadowedPageExitsUncountIdentically) {
+  const Workload& w = workloads::hpccg();
+  BuildKeep keep;
+  const auto image = lowerWorkload(w, keep);
+  vm::Executor probe(image.get());
+  probe.setBudget(500'000'000);
+  const vm::RunResult golden = runUnder(probe, vm::InterpKind::Fast, w.entry);
+  ASSERT_EQ(golden.status, vm::RunStatus::Done);
+
+  Rng rng(0x5AD0);
+  for (int strike = 0; strike < 4; ++strike) {
+    const std::uint64_t at = 1 + rng.next() % (golden.instrCount - 1);
+    const std::vector<unsigned> bits = {
+        static_cast<unsigned>(rng.next() % 64)};
+    const vm::EccMode mode =
+        strike % 2 ? vm::EccMode::SecdedCrc : vm::EccMode::Secded;
+    const std::string tag = "strike at " + std::to_string(at) + " ecc=" +
+                            vm::eccModeName(mode);
+    std::array<std::unique_ptr<vm::Executor>, kNumKinds> ex;
+    std::array<vm::RunResult, kNumKinds> res;
+    std::array<std::string, kNumKinds> digest;
+    for (std::size_t k = 0; k < kNumKinds; ++k) {
+      ex[k] = std::make_unique<vm::Executor>(image.get());
+      ex[k]->setInterp(kKinds[k]);
+      ex[k]->enableProfiling();
+      ex[k]->memory().setEccMode(mode);
+      ex[k]->setBudget(2 * golden.instrCount);
+      ASSERT_EQ(ex[k]->runBounded(at, w.entry).status,
+                vm::RunStatus::BudgetExceeded) << tag;
+      ASSERT_TRUE(ex[k]->memory().injectFault(
+          ex[k]->state().g[backend::kSP] & ~7ull, bits)) << tag;
+      const std::uint64_t interpBefore = ex[k]->jitInterpretedInstrs();
+      res[k] = vm::runToCompletion(*ex[k], w.entry);
+      digest[k] = memoryDigest(*ex[k]);
+      if (kKinds[k] == vm::InterpKind::Jit && vm::jitAvailable())
+        EXPECT_GT(ex[k]->jitInterpretedInstrs(), interpBefore)
+            << tag << ": no shadowed-page exit";
+    }
+    for (std::size_t a = 0; a < kNumKinds; ++a)
+      for (std::size_t b = a + 1; b < kNumKinds; ++b) {
+        const std::string t = pairTag(kKinds[a], kKinds[b], tag);
+        expectSameResult(res[a], res[b], t);
+        expectSameMachine(*ex[a], *ex[b], t);
+        expectSameProfile(*image, *ex[a], *ex[b], t);
+        EXPECT_EQ(digest[a], digest[b]) << t;
+        EXPECT_EQ(ex[a]->memory().eccCorrected(),
+                  ex[b]->memory().eccCorrected()) << t;
+        EXPECT_EQ(ex[a]->memory().eccUncorrectable(),
+                  ex[b]->memory().eccUncorrectable()) << t;
+      }
   }
 }
 
