@@ -377,6 +377,7 @@ bool Safeguard::tryRollback(vm::Executor& ex, RecoveryRecord& rec) {
                     "no checkpoint ring armed");
   if (rollbackCount_ >= maxRollbacks_)
     return failWith(FailCode::RollbackLimitReached, "rollback limit reached");
+  if (probe_) probe_(*ring_);
   // The floor makes restore targets strictly decrease across activations:
   // a contaminated checkpoint whose re-execution traps again is never
   // retried; the cascade marches toward the pinned entry state.

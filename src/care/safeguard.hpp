@@ -23,6 +23,7 @@
 #pragma once
 
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -147,6 +148,12 @@ public:
   /// cascades toward the pinned entry state and the cascade terminates.
   void setRollbackSource(vm::CheckpointRing* ring) { ring_ = ring; }
 
+  /// Observer called at the start of every rollback attempt on an armed
+  /// ring, with the ring as it stands (a test seam: it pins which
+  /// checkpoints a trial's ring holds when its first rollback selects).
+  using RollbackProbe = std::function<void(const vm::CheckpointRing&)>;
+  void setRollbackProbe(RollbackProbe probe) { probe_ = std::move(probe); }
+
   /// Backstop on total rollbacks per Safeguard (the floor already bounds
   /// them by the ring size).
   void setMaxRollbacks(std::uint32_t n) { maxRollbacks_ = n; }
@@ -182,6 +189,7 @@ private:
   std::size_t maxRecords_ = 65536;
   RecoveryStrategy strategy_ = RecoveryStrategy::Repair;
   vm::CheckpointRing* ring_ = nullptr;
+  RollbackProbe probe_;
   std::uint32_t maxRollbacks_ = 32;
   std::uint32_t rollbackCount_ = 0;
   /// Strictly-decreasing ceiling on restore targets (see

@@ -188,6 +188,7 @@ bool Campaign::profile() {
   // the golden run's boundary states in a second pass (the auto interval
   // and the site table both depend on this first pass).
   checkpoints_.clear();
+  entry_ = {};
   std::uint64_t interval = cfg_.checkpointEveryInstrs;
   if (interval == CampaignConfig::kCkptAuto)
     interval = ckptIntervalFromEnv(goldenInstrs_ / 64);
@@ -243,10 +244,10 @@ void Campaign::buildCheckpoints() {
   trace::Span span("campaign.build_checkpoints", "campaign");
   // Re-run the golden execution through the shared boundary driver
   // (vm/checkpoint_ring.hpp), capturing a TrialCheckpoint at every segment
-  // boundary. The driver also pauses once at entry (instruction 0) for
-  // rollback rings; the replay cache has no use for that boundary — a
-  // trial with no earlier checkpoint simply runs from scratch — so the
-  // first callback is skipped to keep the pre-existing checkpoint set.
+  // boundary. The driver also pauses once at entry (instruction 0); a
+  // replay trial with no earlier checkpoint simply runs from scratch, so
+  // that boundary is kept apart as the pinned slot rollback rings are
+  // seeded with (runInjection).
   Executor ex(image_, baseMem_);
   if (cfg_.fault == FaultModel::Reg) ex.enableProfiling();
   bool atEntry = true;
@@ -254,6 +255,7 @@ void Campaign::buildCheckpoints() {
                       [&](Executor& e) {
                         if (atEntry) {
                           atEntry = false;
+                          entry_ = e.resumePoint();
                           return;
                         }
                         TrialCheckpoint ck;
@@ -380,34 +382,35 @@ InjectionPoint Campaign::sample(Rng& rng) const {
 
 InjectionResult Campaign::runInjection(
     const InjectionPoint& pt,
-    const std::map<std::int32_t, core::ModuleArtifacts>* careArtifacts) const {
+    const std::map<std::int32_t, core::ModuleArtifacts>* careArtifacts,
+    const core::Safeguard::RollbackProbe& rollbackProbe) const {
   InjectionResult res;
   Executor ex(image_, baseMem_);
   // ECC shadows are armed on the trial executor only — the golden run is
   // fault-free, so protecting it would measure nothing (DESIGN.md §4i).
   if (cfg_.ecc != vm::EccMode::Off) ex.memory().setEccMode(cfg_.ecc);
   const bool memFault = pt.model != FaultModel::Reg;
-  // Rollback strategies re-execute from ring checkpoints captured *during
-  // this trial*; the replay-cache fast-forward is skipped for them so the
-  // trial is identical whether or not the cache is enabled (the ring's
-  // entry checkpoint must also genuinely be the entry state, which a
-  // restored mid-run prefix would not be).
   const bool wantRollback =
       careArtifacts && core::strategyRollsBack(cfg_.recover);
   // Replay cache: fast-forward to the last checkpoint before the fault site
   // and arm with the *remaining* executions (memory faults are timed on the
   // absolute instruction count, so they need no re-arming). instrCount and
   // output are restored absolute, so the hang budget, manifestation latency
-  // and SDC comparison below are oblivious to the skipped prefix. Rollback
-  // trials do not restore, but still arm a register fault at the checkpoint
-  // (see the boundary loop below).
+  // and SDC comparison below are oblivious to the skipped prefix. A
+  // rollback trial restores too when the replay grid is its ring grid
+  // (always under kCkptAuto): every ring slot up to the fault event is then
+  // a golden checkpoint the campaign already holds, and the ring is seeded
+  // from them below. On another grid it runs the prefix from entry, still
+  // arming a register fault at the checkpoint.
   const TrialCheckpoint* ck =
       memFault ? replaySourceAt(pt.nth) : replaySource(pt);
   std::uint64_t armNth = pt.nth;
   if (ck && !memFault)
     armNth = pt.nth -
              ck->siteCounts[static_cast<std::size_t>(siteIndexOf(pt.loc))];
-  if (ck && !wantRollback) {
+  const bool restore =
+      ck && (!wantRollback || rollbackInterval_ == ckptInterval_);
+  if (restore) {
     {
       trace::Span restoreSpan("trial.restore_checkpoint", "campaign");
       ex.restoreCheckpoint(ck->rp);
@@ -422,6 +425,7 @@ InjectionResult Campaign::runInjection(
     safeguard->setPatchTarget(cfg_.patchTarget);
     safeguard->setStrategy(cfg_.recover);
     if (wantRollback) safeguard->setRollbackSource(&ring);
+    safeguard->setRollbackProbe(rollbackProbe);
     for (const auto& [mi, arts] : *careArtifacts)
       safeguard->addModule(mi, arts);
     safeguard->attach(ex);
@@ -447,18 +451,31 @@ InjectionResult Campaign::runInjection(
     // last replay checkpoint before its site, with the remaining
     // executions, exactly like a replay-cache trial, so the fault-free
     // prefix runs unarmed (natively on the JIT) instead of under the
-    // per-instruction watchpoint. The prefix is the golden run either way,
-    // so the ring captures the same states as an entry-armed trial. The
-    // fault is transient (one event): a rollback to a checkpoint before it
-    // genuinely erases it. A mid-run rollback rewinds instrCount below the
-    // current stop; the stops are absolute, so the re-execution simply
-    // runs back up to them.
+    // per-instruction watchpoint. The prefix is the golden run, so a
+    // restored trial seeds the ring with exactly what executing it would
+    // push: the entry state, then the grid points up to ck, of which the
+    // ring keeps the last capacity-1 (the entry slot is pinned). These
+    // are CoW shares of the golden checkpoints. The fault is transient
+    // (one event): a rollback to a checkpoint before it genuinely erases
+    // it. A mid-run rollback rewinds instrCount below the current stop;
+    // the stops are absolute, so the re-execution simply runs back up to
+    // them.
     const std::uint64_t eventAt =
         memFault ? pt.nth : (ck ? ck->rp.instrCount : 0);
     bool eventDone = false;
-    run = ex.runBounded(ex.instrCount(), cfg_.entry); // entry boundary
+    if (restore) {
+      ring.push(entry_);
+      const std::size_t upTo =
+          static_cast<std::size_t>(ck - checkpoints_.data()) + 1;
+      for (std::size_t i = upTo - std::min(upTo, ring.capacity() - 1);
+           i < upTo; ++i)
+        ring.push(checkpoints_[i].rp);
+      run.status = vm::RunStatus::BudgetExceeded; // paused on ck's boundary
+    } else {
+      run = ex.runBounded(ex.instrCount(), cfg_.entry); // entry boundary
+      if (run.status == vm::RunStatus::BudgetExceeded) ring.push(ex);
+    }
     if (run.status == vm::RunStatus::BudgetExceeded) {
-      ring.push(ex);
       std::uint64_t next = ex.instrCount() + rollbackInterval_;
       for (;;) {
         const bool eventStop = !eventDone && eventAt < next;

@@ -223,11 +223,13 @@ public:
 
   /// Run one injection. When `careArtifacts` is non-null a fresh Safeguard
   /// is constructed with those per-module artifacts and attached (the
-  /// CARE-enabled configuration).
+  /// CARE-enabled configuration); `rollbackProbe`, if set, is installed on
+  /// it (Safeguard::setRollbackProbe).
   InjectionResult runInjection(
       const InjectionPoint& pt,
       const std::map<std::int32_t, core::ModuleArtifacts>* careArtifacts =
-          nullptr) const;
+          nullptr,
+      const core::Safeguard::RollbackProbe& rollbackProbe = {}) const;
 
   /// Does this MIR instruction have an injectable destination operand?
   static bool injectable(const backend::MInst& in);
@@ -267,6 +269,9 @@ private:
   // dynamic instructions (DESIGN.md §4c).
   std::uint64_t ckptInterval_ = 0;
   std::vector<TrialCheckpoint> checkpoints_;
+  // The golden run's entry boundary (instruction 0, started), captured
+  // with checkpoints_: the pinned slot of a seeded rollback ring.
+  vm::Executor::ResumePoint entry_;
   // Dead-after-t word table for pruning (DESIGN.md §4j); built by
   // profile() only when pruning is on and the model is memory-resident.
   std::unique_ptr<pareto::MemoryLife> memLife_;
@@ -274,6 +279,9 @@ private:
   // §4f). Derived from env/goldenInstrs only — *not* from
   // checkpointEveryInstrs — so the replay cache stays a pure performance
   // knob (bit-identical records at any setting) under every strategy.
+  // Where it equals ckptInterval_ (always under kCkptAuto) the ring grid
+  // is the replay grid, and rollback trials seed their ring from
+  // checkpoints_ instead of executing the golden prefix.
   std::uint64_t rollbackInterval_ = 0;
 };
 

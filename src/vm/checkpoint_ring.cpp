@@ -27,6 +27,14 @@ void CheckpointRing::push(Executor::ResumePoint rp) {
   }
 }
 
+const Executor::ResumePoint& CheckpointRing::at(std::size_t i) const {
+  if (entry_) {
+    if (i == 0) return *entry_;
+    --i;
+  }
+  return ring_.at(i);
+}
+
 const Executor::ResumePoint*
 CheckpointRing::latestBefore(std::uint64_t instrCount) const {
   for (auto it = ring_.rbegin(); it != ring_.rend(); ++it)

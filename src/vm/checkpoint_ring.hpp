@@ -35,6 +35,9 @@ public:
   /// Held checkpoints (entry + periodic).
   std::size_t size() const { return (entry_ ? 1 : 0) + ring_.size(); }
   bool hasEntry() const { return entry_.has_value(); }
+  /// Held checkpoint `i` of size(), in ascending instrCount order: the
+  /// entry slot first when held, then the periodic ring.
+  const Executor::ResumePoint& at(std::size_t i) const;
   /// Periodic checkpoints dropped to stay within capacity (ring pressure
   /// only; stale futures removed by push()/dropAfter() are not counted).
   std::uint64_t evicted() const { return evicted_; }

@@ -99,7 +99,16 @@ void Executor::enableProfiling() {
 }
 
 std::uint64_t Executor::profileCount(const CodeLoc& loc) const {
-  return profile_[profileSlot(loc)];
+  const auto inRange = [](std::int32_t i, std::size_t n) {
+    return i >= 0 && static_cast<std::size_t>(i) < n;
+  };
+  if (!inRange(loc.module, image_->numModules()) ||
+      !inRange(loc.func,
+               image_->module(static_cast<std::size_t>(loc.module))
+                   .mod->functions.size()) ||
+      !inRange(loc.instr, image_->function(loc).code.size()))
+    raise("profileCount: code location outside the image");
+  return profiling_ ? profile_[profileSlot(loc)] : 0;
 }
 
 std::size_t Executor::profileSlot(const CodeLoc& loc) const {

@@ -108,7 +108,8 @@ public:
   // --- instrumentation ------------------------------------------------------
   void enableProfiling();
   /// Execution count of static instruction (module, func, instr); valid
-  /// after a profiled run.
+  /// after a profiled run, 0 on an executor that never enabled profiling.
+  /// Throws care::Error for a location outside this executor's image.
   std::uint64_t profileCount(const CodeLoc& loc) const;
 
   /// After the `nth` (1-based) completed execution of the instruction at

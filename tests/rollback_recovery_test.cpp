@@ -10,11 +10,16 @@
 //    byte-identical between `repair` and `repair_then_rollback`; a clean
 //    (never-injected) run under `rollback` is observationally identical to
 //    `none`; a rollback whose fault let corrupt/duplicated output escape
-//    is classified RolledBack-with-SDC, never as recovered; rollback
-//    re-runs never engage the replay-cache fast-forward.
+//    is classified RolledBack-with-SDC, never as recovered; a rollback
+//    re-run whose ring is seeded from the replay cache is byte-identical to
+//    one whose ring was filled by executing the prefix, slot for slot.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <optional>
+#include <tuple>
 
 #include "backend/mir.hpp"
 #include "care/driver.hpp"
@@ -368,41 +373,261 @@ TEST(RollbackRecovery, RepairSuccessRecordsBitIdenticalOnBothInterps) {
   }
 }
 
-TEST(RollbackRecovery, RollbackRerunSkipsReplayFastForward) {
-  // Rollback trials need their ring's entry capture to genuinely be the
-  // entry state, so the replay-cache fast-forward must stay off for them —
-  // and only for them (the plain leg of the same campaign still replays).
-  CareEnv e = buildCare(kGridProg, "replay");
-  CampaignConfig repairCfg = pinnedConfig(RecoveryStrategy::Repair);
-  repairCfg.checkpointEveryInstrs = 400;
-  CampaignConfig rollCfg = repairCfg;
-  rollCfg.recover = RecoveryStrategy::RepairThenRollback;
-  Campaign repair(e.image.get(), repairCfg);
-  Campaign roll(e.image.get(), rollCfg);
-  ASSERT_TRUE(repair.profile());
-  ASSERT_TRUE(roll.profile());
-  ASSERT_GT(repair.checkpoints().size(), 0u);
-  ASSERT_GT(roll.checkpoints().size(), 0u); // cache still built (plain leg)
+/// Sets an environment variable for the scope, restoring the prior value.
+struct ScopedEnv {
+  ScopedEnv(const char* name, const char* value) : name(name) {
+    if (const char* prev = std::getenv(name)) saved = prev;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (saved) ::setenv(name, saved->c_str(), 1);
+    else ::unsetenv(name);
+  }
+  const char* name;
+  std::optional<std::string> saved;
+};
 
-  // Find a SIGSEGV whose CARE re-run fast-forwards under repair.
-  Rng rng(31);
-  bool found = false;
-  for (int i = 0; i < 300 && !found; ++i) {
-    const InjectionPoint pt = repair.sample(rng);
-    const InjectionResult plain = repair.runInjection(pt);
+/// Both sides of one trial's deterministic record.
+std::vector<std::uint8_t> recordBytes(const Campaign& c,
+                                      const InjectionPoint& pt,
+                                      const InjectionResult& withCare) {
+  return inject::serializeDeterministicRecord(
+      InjectionRecord{pt, c.runInjection(pt), true, withCare});
+}
+
+/// A CARE trial plus its ring as it stood when the first rollback selected
+/// a checkpoint (empty when the trial never rolled back).
+struct ProbedTrial {
+  InjectionResult res;
+  std::vector<vm::Executor::ResumePoint> ring;
+};
+
+ProbedTrial runProbed(const Campaign& c, const InjectionPoint& pt,
+                      const std::map<std::int32_t, core::ModuleArtifacts>&
+                          arts) {
+  ProbedTrial t;
+  bool first = true;
+  t.res = c.runInjection(pt, &arts, [&](const CheckpointRing& ring) {
+    if (!first) return;
+    first = false;
+    for (std::size_t i = 0; i < ring.size(); ++i) t.ring.push_back(ring.at(i));
+  });
+  return t;
+}
+
+/// Slot-by-slot equality of two rings: instrCount, position, registers,
+/// output and the bytes of every mapped page.
+void expectSameRing(const std::vector<vm::Executor::ResumePoint>& a,
+                    const std::vector<vm::Executor::ResumePoint>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE("ring slot " + std::to_string(i));
+    EXPECT_EQ(a[i].instrCount, b[i].instrCount);
+    EXPECT_EQ(a[i].started, b[i].started);
+    EXPECT_EQ(std::make_tuple(a[i].module, a[i].func, a[i].instr),
+              std::make_tuple(b[i].module, b[i].func, b[i].instr));
+    EXPECT_EQ(std::memcmp(&a[i].st, &b[i].st, sizeof(vm::MachineState)), 0)
+        << "registers differ";
+    EXPECT_EQ(a[i].output, b[i].output);
+    const std::vector<std::uint64_t> pages = a[i].mem.pageNumbers();
+    ASSERT_EQ(pages, b[i].mem.pageNumbers());
+    const vm::Memory ma = a[i].mem.fork(), mb = b[i].mem.fork();
+    std::vector<std::uint8_t> pa(vm::Memory::kPageSize),
+        pb(vm::Memory::kPageSize);
+    for (std::uint64_t pn : pages) {
+      ASSERT_TRUE(ma.readBytes(pn * vm::Memory::kPageSize, pa.data(),
+                               pa.size()));
+      ASSERT_TRUE(mb.readBytes(pn * vm::Memory::kPageSize, pb.data(),
+                               pb.size()));
+      EXPECT_EQ(pa, pb) << "page " << pn << " differs";
+    }
+  }
+}
+
+/// Address of the 64-bit word holding global `name` of module 0.
+std::uint64_t globalWord(const vm::Image& image, const std::string& name) {
+  const auto& lm = image.module(0);
+  for (std::size_t g = 0; g < lm.mod->globals.size(); ++g)
+    if (lm.mod->globals[g].name == name) return lm.globalAddr[g] & ~7ull;
+  ADD_FAILURE() << "no global " << name;
+  return 0;
+}
+
+/// An adjacent double-bit strike on kGridProg's `scale` at instruction
+/// `nth`. Nothing writes `scale` after initialization and the step loops
+/// read it every iteration (from about instruction 9000), so under SECDED
+/// the strike always surfaces as an EccUncorrectable trap that only a
+/// rollback past it can recover.
+InjectionPoint scaleStrike(const vm::Image& image, std::uint64_t nth) {
+  InjectionPoint pt;
+  pt.model = inject::FaultModel::Mem2Adj;
+  pt.nth = nth;
+  pt.memAddr = globalWord(image, "scale");
+  pt.bits = {4, 5};
+  return pt;
+}
+
+CampaignConfig eccConfig(RecoveryStrategy s) {
+  CampaignConfig cfg = pinnedConfig(s);
+  cfg.fault = inject::FaultModel::Mem2Adj;
+  cfg.ecc = vm::EccMode::Secded;
+  return cfg;
+}
+
+/// Up to `want` register points whose plain run ends in SIGSEGV and whose
+/// CARE trial under `c` rolls back at least once.
+std::vector<InjectionPoint> rollbackSegvs(
+    const Campaign& c,
+    const std::map<std::int32_t, core::ModuleArtifacts>& arts,
+    std::uint64_t seed, std::size_t want) {
+  std::vector<InjectionPoint> out;
+  Rng rng(seed);
+  for (int i = 0; i < 400 && out.size() < want; ++i) {
+    const InjectionPoint pt = c.sample(rng);
+    const InjectionResult plain = c.runInjection(pt);
     if (plain.outcome != Outcome::SoftFailure ||
         plain.signal != vm::TrapKind::SegFault)
       continue;
-    const InjectionResult a = repair.runInjection(pt, &e.artifacts);
-    if (a.replaySavedInstrs == 0) continue;
-    found = true;
-    const InjectionResult b = roll.runInjection(pt, &e.artifacts);
-    EXPECT_EQ(b.replaySavedInstrs, 0u)
-        << "rollback re-run engaged the replay cache";
-    // The plain leg of the rollback campaign is unaffected.
-    EXPECT_GT(roll.runInjection(pt).replaySavedInstrs, 0u);
+    if (c.runInjection(pt, &arts).rollbacks > 0) out.push_back(pt);
   }
-  EXPECT_TRUE(found) << "no fast-forwarded CARE re-run to compare";
+  return out;
+}
+
+TEST(RollbackRecovery, RollbackRerunFastForwardsOnMatchingGrids) {
+  // Under kCkptAuto the replay grid is the ring grid, so a rollback
+  // re-run restores the last golden checkpoint before its fault and
+  // seeds its ring from the replay cache instead of executing the prefix.
+  // Its record must be byte-identical to the same trial with the cache
+  // off (ring filled by execution) and to one whose replay grid differs
+  // from the ring grid, which falls back to executing the prefix.
+  CareEnv e = buildCare(kGridProg, "replay");
+  for (RecoveryStrategy s :
+       {RecoveryStrategy::RepairThenRollback, RecoveryStrategy::Rollback}) {
+    SCOPED_TRACE(core::recoveryStrategyName(s));
+    Campaign seeded(e.image.get(), pinnedConfig(s));
+    ASSERT_TRUE(seeded.profile());
+    ASSERT_GT(seeded.checkpoints().size(), 0u);
+    CampaignConfig offCfg = pinnedConfig(s);
+    offCfg.checkpointEveryInstrs = 0;
+    CampaignConfig skewCfg = pinnedConfig(s);
+    skewCfg.checkpointEveryInstrs = seeded.checkpointInterval() + 1;
+    Campaign off(e.image.get(), offCfg), skew(e.image.get(), skewCfg);
+    ASSERT_TRUE(off.profile());
+    ASSERT_TRUE(skew.profile());
+    ASSERT_GT(skew.checkpoints().size(), 0u);
+
+    int fastForwarded = 0, fellBack = 0;
+    for (const InjectionPoint& pt : rollbackSegvs(seeded, e.artifacts, 31, 6)) {
+      const InjectionResult a = seeded.runInjection(pt, &e.artifacts);
+      const InjectionResult b = off.runInjection(pt, &e.artifacts);
+      const InjectionResult c = skew.runInjection(pt, &e.artifacts);
+      EXPECT_EQ(b.replaySavedInstrs, 0u);
+      EXPECT_EQ(c.replaySavedInstrs, 0u)
+          << "mismatched grids must execute the prefix";
+      // The plain leg of the skewed campaign still replays.
+      fellBack += skew.runInjection(pt).replaySavedInstrs > 0;
+      fastForwarded += a.replaySavedInstrs > 0;
+      const std::vector<std::uint8_t> ref = recordBytes(off, pt, b);
+      EXPECT_EQ(recordBytes(seeded, pt, a), ref);
+      EXPECT_EQ(recordBytes(skew, pt, c), ref);
+    }
+    EXPECT_GT(fastForwarded, 0) << "no rollback re-run fast-forwarded";
+    EXPECT_GT(fellBack, 0) << "skewed campaign never replayed a plain run";
+  }
+}
+
+TEST(RollbackRecovery, SeededRingMatchesExecutedRingAtFirstRollback) {
+  // The pin on ring seeding: when a trial first rolls back, every slot of
+  // its seeded ring equals the same slot of a cache-off trial, whose ring
+  // was filled by executing the prefix from instruction 0.
+  ScopedEnv grid("CARE_CKPT_INTERVAL", "1000");
+  CareEnv e = buildCare(kGridProg, "ringpin");
+
+  Campaign regSeeded(e.image.get(), pinnedConfig(RecoveryStrategy::Rollback));
+  CampaignConfig regOffCfg = pinnedConfig(RecoveryStrategy::Rollback);
+  regOffCfg.checkpointEveryInstrs = 0;
+  Campaign regOff(e.image.get(), regOffCfg);
+  Campaign memSeeded(e.image.get(), eccConfig(RecoveryStrategy::Rollback));
+  CampaignConfig memOffCfg = eccConfig(RecoveryStrategy::Rollback);
+  memOffCfg.checkpointEveryInstrs = 0;
+  Campaign memOff(e.image.get(), memOffCfg);
+  for (Campaign* c : {&regSeeded, &regOff, &memSeeded, &memOff})
+    ASSERT_TRUE(c->profile());
+  ASSERT_GT(regSeeded.checkpoints().size(), 8u);
+
+  std::vector<InjectionPoint> cases =
+      rollbackSegvs(regSeeded, e.artifacts, 77, 6);
+  for (std::uint64_t nth : {9500u, 12000u, 15500u})
+    cases.push_back(scaleStrike(*e.image, nth));
+
+  int seededRings = 0;
+  for (const InjectionPoint& pt : cases) {
+    const bool reg = pt.model == inject::FaultModel::Reg;
+    const Campaign& seededCampaign = reg ? regSeeded : memSeeded;
+    const Campaign& offCampaign = reg ? regOff : memOff;
+    SCOPED_TRACE(std::string(inject::faultModelName(pt.model)) + " @" +
+                 std::to_string(pt.nth));
+    const ProbedTrial a = runProbed(seededCampaign, pt, e.artifacts);
+    const ProbedTrial b = runProbed(offCampaign, pt, e.artifacts);
+    ASSERT_GT(b.res.rollbacks, 0u);
+    ASSERT_FALSE(b.ring.empty());
+    expectSameRing(a.ring, b.ring);
+    seededRings += a.res.replaySavedInstrs > 0;
+    EXPECT_EQ(recordBytes(seededCampaign, pt, a.res),
+              recordBytes(offCampaign, pt, b.res));
+  }
+  EXPECT_GE(seededRings, 3) << "too few trials took the seeded path";
+}
+
+TEST(RollbackRecovery, SeededRingEdgeCasesMatchCacheOff) {
+  // Boundary geometry of ring seeding at a 1000-instruction grid, each
+  // trial byte-identical to its cache-off twin under both rollback
+  // strategies and ring capacities 1, 2 and 8:
+  //   * a strike before the first boundary: no checkpoint precedes it, the
+  //     trial executes from entry, every later slot holds the struck word
+  //     and the rollback cascade lands on the pinned entry slot;
+  //   * a strike exactly on a boundary: the seeded ring ends with the
+  //     checkpoint at the strike time, which still holds the clean word;
+  //   * a strike past slot capacity-1: seeding keeps only the newest
+  //     capacity-1 golden checkpoints, as eviction would have.
+  ScopedEnv grid("CARE_CKPT_INTERVAL", "1000");
+  CareEnv e = buildCare(kGridProg, "ringedge");
+  for (RecoveryStrategy s :
+       {RecoveryStrategy::Rollback, RecoveryStrategy::RepairThenRollback}) {
+    for (std::size_t cap : {1u, 2u, 8u}) {
+      SCOPED_TRACE(std::string(core::recoveryStrategyName(s)) + " cap " +
+                   std::to_string(cap));
+      CampaignConfig cfg = eccConfig(s);
+      cfg.rollbackRingCap = cap;
+      CampaignConfig offCfg = cfg;
+      offCfg.checkpointEveryInstrs = 0;
+      Campaign seeded(e.image.get(), cfg), off(e.image.get(), offCfg);
+      ASSERT_TRUE(seeded.profile());
+      ASSERT_TRUE(off.profile());
+
+      for (std::uint64_t nth : {500u, 12000u, 15500u}) {
+        SCOPED_TRACE("strike @" + std::to_string(nth));
+        const InjectionPoint pt = scaleStrike(*e.image, nth);
+        const ProbedTrial a = runProbed(seeded, pt, e.artifacts);
+        const ProbedTrial b = runProbed(off, pt, e.artifacts);
+        EXPECT_EQ(a.res.replaySavedInstrs, nth / 1000 * 1000);
+        ASSERT_GT(b.res.rollbacks, 0u);
+        expectSameRing(a.ring, b.ring);
+        EXPECT_EQ(recordBytes(seeded, pt, a.res), recordBytes(off, pt, b.res));
+        ASSERT_FALSE(a.ring.empty());
+        EXPECT_EQ(a.ring.front().instrCount, 0u) << "entry slot not pinned";
+        EXPECT_LE(a.ring.size(), cap);
+        // Every trial here recovers: only checkpoints before the strike
+        // are clean, and with one slot, or a strike before the first
+        // boundary, that is the entry state alone.
+        EXPECT_TRUE(a.res.careRecovered);
+        if (cap == 1 || nth < 1000) {
+          EXPECT_GE(a.res.rollbackReexecInstrs, 9000u)
+              << "recovery did not rewind to the entry slot";
+        }
+      }
+    }
+  }
 }
 
 TEST(RollbackRecovery, EccUncorrectableTriggersRollbackRecovery) {

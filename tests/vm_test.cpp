@@ -218,6 +218,53 @@ TEST(Executor, InjectionFiresExactlyOnceAtNth) {
   EXPECT_GT(at, 0u);
 }
 
+TEST(Executor, ProfileCountIsZeroUnprofiledAndRejectsForeignLocations) {
+  Program p = buildProgram(R"(
+    int counter = 0;
+    int main() {
+      for (int i = 0; i < 10; i = i + 1) { counter = counter + 1; }
+      return counter;
+    })", opt::OptLevel::O0);
+  // A larger image: its last instruction lies past the end of p's code.
+  Program big = buildProgram(R"(
+    int counter = 0;
+    int twice(int x) { return x + x; }
+    int main() {
+      for (int i = 0; i < 10; i = i + 1) {
+        counter = counter + twice(i) * 3 - i / 2;
+      }
+      return counter;
+    })", opt::OptLevel::O0);
+  const auto& bigFns = big.image->module(0).mod->functions;
+  vm::CodeLoc foreign{0, static_cast<std::int32_t>(bigFns.size() - 1), 0};
+  for (std::size_t f = 0; f < bigFns.size(); ++f)
+    if (bigFns[f].code.size() >
+        p.image->module(0).mod->functions[0].code.size())
+      foreign = {0, static_cast<std::int32_t>(f),
+                 static_cast<std::int32_t>(bigFns[f].code.size() - 1)};
+
+  vm::Executor plain(p.image.get()), prof(p.image.get());
+  prof.enableProfiling();
+  ASSERT_EQ(vm::runToCompletion(plain, "main").status, vm::RunStatus::Done);
+  ASSERT_EQ(vm::runToCompletion(prof, "main").status, vm::RunStatus::Done);
+  const auto& fn = p.image->module(0).mod->functions[0];
+  std::uint64_t profiled = 0;
+  for (std::size_t i = 0; i < fn.code.size(); ++i) {
+    const vm::CodeLoc loc{0, 0, static_cast<std::int32_t>(i)};
+    EXPECT_EQ(plain.profileCount(loc), 0u);
+    profiled += prof.profileCount(loc);
+  }
+  EXPECT_GT(profiled, 0u);
+
+  for (const vm::Executor* ex : {&plain, &prof}) {
+    EXPECT_THROW(ex->profileCount(foreign), care::Error);
+    EXPECT_THROW(ex->profileCount({0, 0, -1}), care::Error);
+    EXPECT_THROW(ex->profileCount({1, 0, 0}), care::Error);
+    EXPECT_THROW(ex->profileCount({0, 99, 0}), care::Error);
+    EXPECT_THROW(ex->profileCount(vm::CodeLoc{}), care::Error);
+  }
+}
+
 TEST(Executor, TrapHookRetryReexecutes) {
   // Program stores through a pointer-sized index that we corrupt; the hook
   // fixes the register and retries, so the run completes.
