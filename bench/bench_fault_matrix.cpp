@@ -12,12 +12,15 @@
 //  * every surviving mem2adj double-adjacent fault is flagged
 //    EccUncorrectable (again netting out overwrite-masked trials);
 //  * serializeDeterministic() is byte-identical across serial / threaded /
-//    multiprocess engines and across the fast and JIT backends under every
-//    memory fault model.
+//    multiprocess engines and against the reference loop under every memory
+//    fault model.
+// Everything runs on the jit backend (the reference loop on a host without
+// executable mappings), whatever CARE_INTERP says.
 #include <filesystem>
 #include <fstream>
 
 #include "bench_util.hpp"
+#include "vm/jit.hpp"
 
 namespace {
 
@@ -68,6 +71,9 @@ int main() {
   using namespace care;
   bench::header("Memory-fault defense matrix",
                 "DESIGN.md §4i; no single-paper counterpart (ROADMAP 4)");
+  const vm::InterpKind backend =
+      vm::jitAvailable() ? vm::InterpKind::Jit : vm::InterpKind::Ref;
+  vm::setDefaultInterp(backend);
 
   std::string rows;
   char row[512];
@@ -219,12 +225,12 @@ int main() {
         return inject::serializeDeterministic(
             inject::runExperiment(*w, legCfg));
       };
-      const auto serial = runLeg(1, 0, vm::InterpKind::Fast);
-      const bool ok = serial == runLeg(3, 0, vm::InterpKind::Fast) &&
-                      serial == runLeg(1, 2, vm::InterpKind::Fast) &&
-                      serial == runLeg(1, 0, vm::InterpKind::Jit);
+      const auto serial = runLeg(1, 0, backend);
+      const bool ok = serial == runLeg(3, 0, backend) &&
+                      serial == runLeg(1, 2, backend) &&
+                      serial == runLeg(1, 0, vm::InterpKind::Ref);
       if (!ok) enginesIdentical = false;
-      std::printf("  %-8s serial==threaded==multiprocess==jit: %s\n",
+      std::printf("  %-8s serial==threaded==multiprocess==ref: %s\n",
                   inject::faultModelName(model), ok ? "PASS" : "FAIL");
     }
   }

@@ -45,7 +45,7 @@ struct CampaignTelemetry {
   std::string event = "campaign";
   std::string workload;        // empty for anonymous (carecc) campaigns
   std::string level;           // "O0" / "O1" / ""
-  /// Resolved interpreter backend ("ref"/"fast"/"jit") captured when the
+  /// Resolved execution backend ("ref"/"jit") captured when the
   /// record is created. Telemetry-only: the backends are bit-identical, so
   /// the backend is deliberately NOT part of the campaign key.
   std::string interp = vm::interpName(vm::defaultInterp());

@@ -70,10 +70,10 @@ PruneOptions pruneOptionsFromEnv(const PruneOptions& fallback = {});
 class MemoryLife {
 public:
   /// Trace one golden run of `entry` on `image` starting from `initialMem`,
-  /// splitting the run's `goldenInstrs` into `segments` bounded legs. The
-  /// traced executor stays on an interpreter loop (the JIT driver defers
-  /// to it while tracing is armed), so every typed access funnels through
-  /// the recording accessors.
+  /// splitting the run's `goldenInstrs` into `segments` bounded legs, on
+  /// the default backend: the reference loop records in its typed
+  /// accessors, the JIT in its TLB-miss helpers (no page is cached while a
+  /// trace is armed), so both see every access.
   void build(const vm::Image* image, const vm::MemorySnapshot& initialMem,
              const std::string& entry, std::uint64_t goldenInstrs,
              std::uint64_t segments = 256);

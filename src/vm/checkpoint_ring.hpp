@@ -3,7 +3,7 @@
 // PR 3's replay cache proved the capture mechanism: the budget check fires
 // *before* an instruction executes, so `setBudget(next); run()` stops on an
 // exact dynamic-instruction boundary and re-running resumes in place, with
-// zero changes to either interpreter loop. This file extracts that driver
+// zero changes to either backend. This file extracts that driver
 // out of Campaign::profile() so it also serves the rollback-domain
 // recovery strategy (DESIGN.md §4f): runCheckpointed() pauses a run every
 // `interval` instructions for the caller to capture state, and

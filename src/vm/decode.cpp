@@ -180,9 +180,6 @@ DecodedImage decodeImage(const Image& image) {
         }
         df.code.push_back(d);
       }
-      DInst guard;
-      guard.kind = DKind::OobGuard;
-      df.code.push_back(guard);
     }
   }
   return out;

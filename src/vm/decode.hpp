@@ -1,4 +1,4 @@
-// Predecoded instruction streams for the fast interpreter.
+// Predecoded instruction streams: the template JIT's input (jit.cpp).
 //
 // At first use (after link()), every MFunction is translated 1:1 into a
 // flat array of DInst whose operands are fully resolved: global addresses
@@ -8,8 +8,8 @@
 // return PC, and 32-bit wrapping is expressed as a branch-free
 // shift-left/shift-right-arithmetic amount. Branch targets remain
 // instruction indices (the translation is 1:1), so instruction counts,
-// profiling rows and injection CodeLocs mean exactly the same thing in both
-// interpreters.
+// profiling rows and injection CodeLocs mean exactly the same thing in the
+// compiled code as in the reference loop.
 #pragma once
 
 #include <cstdint>
@@ -56,18 +56,12 @@ enum class DKind : std::uint8_t {
   Jmp,
   Call, Ret, MathCall,
   Emit, EmitI, Abort, Barrier, SentinelTrap,
-  /// Sentinel appended one past each function's last real instruction, so
-  /// straight-line execution needs no per-instruction bounds check: falling
-  /// off the end lands here, and the handler undoes the fetch bookkeeping
-  /// and reports the same BadPC the reference loop's bounds check would.
-  /// Branch targets are still range-checked in the branch handlers.
-  OobGuard,
 };
 
 /// Index of the hardwired-zero register slot in MachineState::g (one past
 /// the architectural registers). The decoder rewrites absent memory-operand
-/// base/index registers to this slot, so the interpreter's effective
-/// address is always disp + g[base] + g[index]*scale with no branches.
+/// base/index registers to this slot, so an effective address is always
+/// disp + g[base] + g[index]*scale with no branches.
 constexpr std::int16_t kZeroSlot = backend::kNumRegs;
 
 struct CallRef {
@@ -109,8 +103,7 @@ struct DInst {
 static_assert(sizeof(DInst) == 32, "DInst should stay two per cache line");
 
 struct DecodedFunction {
-  /// The function's instructions followed by one OobGuard sentinel;
-  /// code.size() is therefore the MIR instruction count plus one.
+  /// One DInst per MIR instruction, in order.
   std::vector<DInst> code;
 };
 

@@ -1,10 +1,9 @@
-// Scalar operation helpers shared by the two interpreter loops.
+// Scalar operation helpers of the reference loop (executor.cpp).
 //
-// Both the reference interpreter (executor.cpp) and the fast decoded
-// dispatcher (executor_fast.cpp) must produce bit-identical results; every
-// piece of arithmetic with observable semantics (32-bit wrapping, div/rem
-// trap conditions, f32 rounding, comparison predicates) lives here so the
-// two loops cannot drift apart.
+// Every piece of arithmetic with observable semantics (32-bit wrapping,
+// div/rem trap conditions, f32 rounding, comparison predicates) lives here;
+// the JIT's templates (jit.cpp) reproduce each one bit for bit, and the
+// differential tests hold the two backends to it.
 #pragma once
 
 #include "support/error.hpp"

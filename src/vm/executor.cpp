@@ -39,19 +39,13 @@ std::atomic<int> gInterpOverride{-1};
 
 InterpKind parseInterp(std::string_view name) {
   if (name == "ref") return InterpKind::Ref;
-  if (name == "fast") return InterpKind::Fast;
   if (name == "jit") return InterpKind::Jit;
   throw Error("unknown interpreter backend '" + std::string(name) +
-              "' (expected one of: ref, fast, jit)");
+              "' (expected one of: ref, jit)");
 }
 
 const char* interpName(InterpKind k) {
-  switch (k) {
-  case InterpKind::Ref: return "ref";
-  case InterpKind::Fast: return "fast";
-  case InterpKind::Jit: return "jit";
-  }
-  return "?";
+  return k == InterpKind::Ref ? "ref" : "jit";
 }
 
 InterpKind defaultInterp() {
@@ -62,7 +56,7 @@ InterpKind defaultInterp() {
   // must fail loudly whenever an Executor is actually constructed.
   const char* e = std::getenv("CARE_INTERP");
   if (e && *e) return parseInterp(e);
-  return InterpKind::Fast;
+  return InterpKind::Jit;
 }
 
 void setDefaultInterp(InterpKind k) {
@@ -90,24 +84,24 @@ std::uint64_t Executor::currentPC() const {
 
 void Executor::enableProfiling() {
   profiling_ = true;
-  // One flat row over the image (Image::profileSlots): the JIT's profiling
-  // variant addresses it by a per-function base baked into its code. Each
-  // function's row carries one pad slot: the fast loop's fetch bookkeeping
-  // briefly touches the OobGuard sentinel's index before the guard handler
-  // rolls it back (decode.hpp). Never reported.
+  // One flat row over the image (Image::profileSlots): the JIT's counting
+  // variant addresses it by a per-function base baked into its code.
   profile_.assign(image_->profileSlots(), 0);
 }
 
-std::uint64_t Executor::profileCount(const CodeLoc& loc) const {
+bool Executor::inImage(const CodeLoc& loc) const {
   const auto inRange = [](std::int32_t i, std::size_t n) {
     return i >= 0 && static_cast<std::size_t>(i) < n;
   };
-  if (!inRange(loc.module, image_->numModules()) ||
-      !inRange(loc.func,
-               image_->module(static_cast<std::size_t>(loc.module))
-                   .mod->functions.size()) ||
-      !inRange(loc.instr, image_->function(loc).code.size()))
-    raise("profileCount: code location outside the image");
+  return inRange(loc.module, image_->numModules()) &&
+         inRange(loc.func,
+                 image_->module(static_cast<std::size_t>(loc.module))
+                     .mod->functions.size()) &&
+         inRange(loc.instr, image_->function(loc).code.size());
+}
+
+std::uint64_t Executor::profileCount(const CodeLoc& loc) const {
+  if (!inImage(loc)) raise("profileCount: code location outside the image");
   return profiling_ ? profile_[profileSlot(loc)] : 0;
 }
 
@@ -199,9 +193,7 @@ RunResult Executor::run(const std::string& entry) {
     mem_.store(st_.g[backend::kSP], MType::I64, Image::kHaltPC);
     started_ = true;
   }
-  if (interp_ == InterpKind::Ref) return runReference();
-  if (interp_ == InterpKind::Jit) return runJit();
-  return runFast();
+  return interp_ == InterpKind::Ref ? runReference() : runJit();
 }
 
 RunResult Executor::runBounded(std::uint64_t stopAt, const std::string& entry) {
@@ -212,10 +204,10 @@ RunResult Executor::runBounded(std::uint64_t stopAt, const std::string& entry) {
   return res;
 }
 
-// The original big-switch loop, kept verbatim in structure as the executable
-// specification of the VM's semantics: the fast decoded dispatcher
-// (executor_fast.cpp) must match it bit for bit, which the differential
-// tests assert. Scalar semantics live in exec_common.hpp, shared by both.
+// The big-switch loop: the executable specification of the VM's semantics.
+// The JIT (jit.cpp) must match it bit for bit, which the differential tests
+// assert; scalar semantics live in exec_common.hpp. It also runs every leg
+// the JIT driver does not run natively.
 RunResult Executor::runReference() {
   RunResult res;
   auto* g = st_.g;
@@ -429,8 +421,12 @@ RunResult Executor::runReference() {
     if (trapped) {
       Trap trap{trapKind, currentPC(), trapAddr};
       if (trapHook_) {
-        const TrapAction act = trapHook_(*this, trap);
-        if (act == TrapAction::Retry) continue; // re-execute, state patched
+        const std::uint64_t atTrap = instrCount_;
+        if (trapHook_(*this, trap) == TrapAction::Retry) {
+          // A rollback rewinds the count; runJit's leg tally adds it back.
+          if (instrCount_ < atTrap) interpRewound_ += atTrap - instrCount_;
+          continue; // re-execute, state patched
+        }
       }
       res.status = RunStatus::Trapped;
       res.trap = trap;

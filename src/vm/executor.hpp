@@ -7,6 +7,12 @@
 // state and request re-execution of the faulting instruction. That hook is
 // exactly where CARE's Safeguard runtime plugs in.
 //
+// Two backends execute it: `ref`, the big-switch loop that is the VM's
+// executable specification, and `jit` (the default), which runs the
+// template JIT's native code and hands ref only single steps and short
+// bursts (executor_jit.cpp). Every observable below is byte-identical
+// between them.
+//
 // Two instrumentation facilities serve the evaluation harness:
 //  * profiling mode counts executions of every static instruction (the
 //    paper's Pin-based profile for execution-weighted injection sampling);
@@ -54,8 +60,8 @@ enum class TrapAction : std::uint8_t { Propagate, Retry };
 
 struct MachineState {
   /// Integer registers, plus one hardwired-zero slot at [kNumRegs] that the
-  /// predecoded interpreter aliases absent base/index memory operands to
-  /// (branch-free effective addresses). Nothing ever writes the extra slot.
+  /// predecoded streams alias absent base/index memory operands to, so the
+  /// JIT's effective addresses are branch-free. Nothing ever writes it.
   std::uint64_t g[backend::kNumRegs + 1] = {};
   double f[backend::kNumRegs] = {};
 };
@@ -69,22 +75,21 @@ struct RunResult {
   std::int64_t exitCode = 0;
 };
 
-/// Which interpreter loop run() uses. Fast is the predecoded token-threaded
-/// dispatcher; Ref is the original big-switch loop, kept as the executable
-/// specification the fast path is differentially tested against; Jit is the
-/// mixed-mode template-JIT driver (native hot blocks, fast-interpreter
-/// fallback for cold code and budget boundaries).
-enum class InterpKind : std::uint8_t { Fast, Ref, Jit };
+/// Which backend run() uses. Ref is the big-switch loop, the executable
+/// specification every other path is differentially tested against; Jit is
+/// the mixed-mode template-JIT driver (native code for everything it can
+/// enter, single steps and short bursts of Ref for the rest).
+enum class InterpKind : std::uint8_t { Ref, Jit };
 
-/// Parse a backend name ("ref" | "fast" | "jit"). Throws care::Error naming
-/// the accepted values on anything else — both carecc --interp and
-/// CARE_INTERP reject unknown backends instead of silently falling back.
+/// Parse a backend name ("ref" | "jit"). Throws care::Error naming the
+/// accepted values on anything else — both carecc --interp and CARE_INTERP
+/// reject unknown backends instead of silently falling back.
 InterpKind parseInterp(std::string_view name);
 /// The canonical name parseInterp accepts for `k`.
 const char* interpName(InterpKind k);
 
-/// Process-wide default for new Executors: CARE_INTERP=ref|fast|jit,
-/// overridden by setDefaultInterp() (carecc --interp=...).
+/// Process-wide default for new Executors: CARE_INTERP=ref|jit (default
+/// jit), overridden by setDefaultInterp() (carecc --interp=...).
 InterpKind defaultInterp();
 void setDefaultInterp(InterpKind k);
 
@@ -154,7 +159,7 @@ public:
   /// buffer, so every downstream observable (budget clock, manifestation
   /// latency, SDC output comparison) stays absolute — exactly as if the
   /// whole golden prefix had been re-executed. The next run() resumes at
-  /// the captured position on whichever interpreter loop is selected.
+  /// the captured position on whichever backend is selected.
   /// Thread-safe with respect to concurrent restores of the same point.
   ///
   /// `preserveOutput` keeps the current output buffer instead of the
@@ -187,11 +192,12 @@ public:
   std::uint64_t instrCount() const { return instrCount_; }
   /// PC of the instruction currently being executed.
   std::uint64_t currentPC() const;
-  /// Instructions the jit backend's driver retired on the fast interpreter
-  /// (cold ops, shadowed-page accesses, deopts, armed windows, traced
-  /// runs, hosts without the JIT), cumulative over this executor's runs.
-  /// Profiling runs count natively and appear here only for those legs.
-  /// Counted per interpreter leg, not per instruction.
+  /// Instructions the jit backend's driver retired on the reference loop
+  /// (cold ops, shadowed-page accesses, budget deopts, the firing step of
+  /// an armed injection, functions without native code, hosts without the
+  /// JIT), cumulative over this executor's runs, including whatever a trap
+  /// hook rolled back and re-ran inside such a leg. Counted per leg, not
+  /// per instruction.
   std::uint64_t jitInterpretedInstrs() const { return jitInterpInstrs_; }
 
 private:
@@ -201,21 +207,16 @@ private:
 
   bool jumpTo(const CodeLoc& loc);
   RunResult runReference();
-  RunResult runFast();
   RunResult runJit(); // executor_jit.cpp: the mixed-mode driver
-  /// The token-threaded loop, compiled twice: the instrumented variant
-  /// carries the per-instruction profiling and injection checks; the plain
-  /// variant (profiling off, nothing armed — golden runs) omits them. If a
-  /// trap hook arms instrumentation mid-run, the plain variant syncs state,
-  /// sets *switchToInstrumented and returns so runFast() can re-enter the
-  /// instrumented one — equivalent to the reference loop's Retry `continue`.
-  /// The instrumented variant hands back the same way once its injection
-  /// has fired and disarmed; runJit() uses that to resume native code.
-  template <bool kInstrumented>
-  RunResult runFastImpl(bool* switchToInstrumented = nullptr);
+  /// One reference-loop leg of runJit(), stopped at min(stop, stopAt_) and
+  /// tallied into jitInterpInstrs_.
+  RunResult interpretLeg(std::uint64_t stop);
+  /// Seed the watch row for the armed injection (runJit); returns the
+  /// armed slot's starting value.
+  std::uint64_t seedWatch();
 
   const Image* image_;
-  InterpKind interp_ = InterpKind::Fast;
+  InterpKind interp_ = InterpKind::Jit;
   Memory mem_;
   MachineState st_;
   std::vector<std::uint64_t> output_;
@@ -226,8 +227,8 @@ private:
   std::uint64_t stopAt_ = ~0ull;
   TrapHook trapHook_;
   std::uint64_t jitInterpInstrs_ = 0;
-  /// Instructions trap hooks rewound inside the fast loop (rollbacks);
-  /// runJit adds them back so its per-leg tally stays exact.
+  /// Instructions Retry trap hooks rewound inside the reference loop
+  /// (rollbacks); interpretLeg adds them back so its tally stays exact.
   std::uint64_t interpRewound_ = 0;
 
   // Current position.
@@ -240,6 +241,7 @@ private:
   /// Execution counts, one flat row over the image (Image::profileSlots).
   std::vector<std::uint64_t> profile_;
   std::size_t profileSlot(const CodeLoc& loc) const;
+  bool inImage(const CodeLoc& loc) const;
 
   // Injection.
   bool injArmed_ = false;
@@ -247,7 +249,18 @@ private:
   std::uint64_t injNth_ = 0;
   std::uint64_t injSeen_ = 0;
   std::function<void(Executor&)> injCb_;
+  /// The jit driver's watch row for an armed injection: laid out like
+  /// profile_, all zero but the armed site's slot (watchSlot_), which the
+  /// counting variant's counter increment overflows on exactly the
+  /// execution that is due to fire (DESIGN.md §4h).
+  std::vector<std::uint64_t> watch_;
+  std::size_t watchSlot_ = 0;
 };
+
+/// Process-wide sum of every Executor's jitInterpretedInstrs() (forked
+/// workers count in their own process). Lets tests bound the driver's
+/// reference-loop share over whole campaigns, whose executors are internal.
+std::uint64_t jitInterpretedTotal();
 
 /// Run to completion, transparently resuming across Barrier yields (for
 /// single-process runs where barriers are no-ops).

@@ -1,74 +1,91 @@
 // Mixed-mode driver for the template-JIT backend (DESIGN.md §4h).
 //
-// run() under InterpKind::Jit alternates between native execution of
-// compiled code and the fast interpreter:
+// run() under InterpKind::Jit runs compiled code natively and hands the
+// reference loop (runReference) only what native code does not cover:
 //
-//  * profiling runs run natively on the profiling variant of the compiled
-//    code (jit.hpp), which increments the same per-instruction counters
-//    the interpreter loops do; the legs below that do run on the fast
-//    interpreter count into the same rows, so counts merge exactly. A
-//    trap hook that enables profiling mid-run switches to the profiling
-//    variant at the next native entry;
-//  * access-traced runs stay on the fast interpreter entirely — they need
-//    its per-access trace hook;
-//  * ECC-armed runs run natively: a SECDED-shadowed page never enters the
-//    software TLB (memory.hpp), so the only accesses that leave native
-//    code are the ones that hit a shadowed page — the TLB-miss stub exits
-//    through ColdOp and the interpreter's typed path verifies, corrects or
-//    traps that one instruction;
-//  * an armed injection runs only its armed window on the instrumented
-//    fast loop (runFastImpl<true>): when the injection fires and disarms,
-//    that loop syncs state and hands back (switchVariant), and the
-//    post-fault remainder — most of every campaign trial — continues
-//    natively under the same exact trap and budget semantics;
-//  * a position with no native entry (function below its compile
-//    threshold, interpret-only, or a basic block that no longer fits the
-//    effective budget) is burst-interpreted under a stopAt_ bound, then
-//    the code cache is probed again;
+//  * profiling runs run on the counting variant of the compiled code
+//    (jit.hpp), which increments the same per-instruction counters the
+//    reference loop does; legs that run on the reference loop count into
+//    the same row, so counts merge exactly;
+//  * an armed injection runs natively too: the counting variant counts
+//    into a watch row whose armed slot overflows on exactly the execution
+//    that is due to fire. That execution leaves native code un-counted
+//    through the ColdOp exit (the watch exit) and is single-stepped on the
+//    reference loop, which fires the injection — so firing, traps and
+//    Safeguard retries keep the oracle's semantics. A run that profiles
+//    while armed keeps its armed window on the reference loop;
+//  * ECC-armed and access-traced runs run natively: neither a
+//    SECDED-shadowed page nor, while a trace sink is armed, any page enters
+//    the software TLB (memory.hpp), so those accesses take the TLB-miss
+//    helpers. A traced access is recorded there; a shadowed one exits
+//    through ColdOp, and the reference loop's typed path verifies, corrects
+//    or traps that one instruction;
+//  * cold ops are single-stepped the same way, and a position with no
+//    native entry (function below its compile threshold or without native
+//    code, or a basic block that no longer fits the effective budget) is
+//    burst-interpreted under a stopAt_ bound before the code cache is
+//    probed again;
 //  * native execution returns through the JitExit protocol, with the
-//    position/count fields synced exactly like the interpreter's SYNC(),
-//    so trap hooks, checkpoints and ResumePoints observe identical state.
+//    position/count fields synced exactly as the reference loop keeps its
+//    members, so trap hooks, checkpoints and ResumePoints observe identical
+//    state.
 //
 // Every loop iteration makes progress: entryFor repeats the emitted
-// block-fit check in C++, so whenever it hands out an entry the native
-// block runs at least one instruction, and whenever it declines, the
-// interpreter burst executes at least one.
+// block-fit check in C++, so whenever it hands out an entry native code
+// retires at least one instruction or hands exactly one to the reference
+// loop, and whenever it declines, the reference burst executes at least one.
 #include "vm/executor.hpp"
 
-#include <cstdio>
-#include <cstdlib>
+#include <atomic>
 
 #include "vm/jit.hpp"
 
 namespace care::vm {
 
 namespace {
-// Interpreter burst length while a position has no native entry: long
-// enough to amortize the bound bookkeeping, short enough to re-probe the
-// code cache promptly once a callee compiles.
+// Reference burst length while a position has no native entry: long enough
+// to amortize the bound bookkeeping, short enough to re-probe the code
+// cache promptly once a callee compiles.
 constexpr std::uint64_t kBurst = 65536;
+// The watch slot starts `remaining` increments below the signed overflow.
+constexpr std::uint64_t kWatchTop = 0x7fffffffffffffffull;
+std::atomic<std::uint64_t> gInterpretedTotal{0};
 } // namespace
 
+std::uint64_t jitInterpretedTotal() {
+  return gInterpretedTotal.load(std::memory_order_relaxed);
+}
+
+RunResult Executor::interpretLeg(std::uint64_t stop) {
+  const std::uint64_t save = stopAt_;
+  if (stop < stopAt_) stopAt_ = stop;
+  // Tally what the leg retires: the count's advance plus whatever a trap
+  // hook rewound inside it (a rollback re-executes on the reference loop).
+  const std::uint64_t before = instrCount_, rewound = interpRewound_;
+  const RunResult r = runReference();
+  const std::uint64_t retired =
+      instrCount_ + (interpRewound_ - rewound) - before;
+  jitInterpInstrs_ += retired;
+  gInterpretedTotal.fetch_add(retired, std::memory_order_relaxed);
+  stopAt_ = save;
+  return r;
+}
+
+std::uint64_t Executor::seedWatch() {
+  if (watch_.empty()) watch_.assign(image_->profileSlots(), 0);
+  watch_[watchSlot_] = 0;
+  watchSlot_ = profileSlot(injLoc_);
+  // Modular arithmetic keeps this exact for any remaining count.
+  const std::uint64_t start = kWatchTop - (injNth_ - injSeen_) + 1;
+  watch_[watchSlot_] = start;
+  return start;
+}
+
 RunResult Executor::runJit() {
-  // Every interpreter leg below goes through here, which tallies what it
-  // retires: the count's advance plus whatever a trap hook rewound inside
-  // the leg (a rollback re-executes on the interpreter).
-  const auto interpret = [this](auto leg) {
-    const std::uint64_t before = instrCount_, rewound = interpRewound_;
-    const RunResult r = leg();
-    jitInterpInstrs_ += instrCount_ + (interpRewound_ - rewound) - before;
-    return r;
-  };
-  const auto fast = [this] { return runFast(); };
-
-  // Access-traced memory needs a per-access hook the emitted templates
-  // don't carry; the fast interpreter provides it with identical results.
-  if (mem_.accessTraceActive()) return interpret(fast);
-
   JitImage& jimg = image_->jit();
   if (!jimg.usable()) {
     warnJitUnavailableOnce();
-    return interpret(fast);
+    return interpretLeg(~0ull);
   }
 
   RunResult res;
@@ -92,64 +109,60 @@ RunResult Executor::runJit() {
       res.instrCount = instrCount_;
       return res;
     }
-    // A trap hook may have armed an access trace mid-run; hand the rest of
-    // the run over, like the plain fast-loop variant does. Profiling needs
-    // no handoff: ctx.prof below picks the variant at every entry.
-    if (mem_.accessTraceActive()) return interpret(fast);
-    if (injArmed_) {
-      // Armed window: the instrumented loop watches for the nth execution.
-      // It returns with switchVariant set right after the injection fired
-      // and disarmed, position and count synced — resume natively from
-      // there. Any other return (budget, trap, done) ends the run exactly
-      // as runFast() would.
-      bool handoff = false;
-      RunResult r =
-          interpret([this, &handoff] { return runFastImpl<true>(&handoff); });
-      if (handoff) continue;
-      return r;
-    }
-
-    // Re-read every iteration: a trap hook may have enabled profiling,
-    // which (re)allocates the counter row.
-    ctx.prof = profiling_ ? profile_.data() : nullptr;
-    const void* entry = jimg.entryFor(curModule_, curFunc_, curInstr_,
-                                      instrCount_, stop, profiling_);
+    // Re-read every iteration: a trap hook or the injection callback may
+    // have enabled profiling or (re)armed an injection. An injection armed
+    // at a site outside the image can never fire and is not watched.
+    const bool watching = injArmed_ && !profiling_ && inImage(injLoc_);
+    const bool counting = profiling_ || watching;
+    const void* entry =
+        injArmed_ && profiling_
+            ? nullptr // the counter row is taken: the window stays on ref
+            : jimg.entryFor(curModule_, curFunc_, curInstr_, instrCount_,
+                            stop, counting);
     if (!entry) {
       // Burst-interpret under a transient bound. An artificial stop shows
       // up as BudgetExceeded short of the real bound — re-probe the cache.
-      const std::uint64_t save = stopAt_;
-      std::uint64_t burstStop = instrCount_ + kBurst;
-      if (burstStop > stop) burstStop = stop;
-      stopAt_ = burstStop;
-      RunResult r = interpret(fast);
-      stopAt_ = save;
+      const RunResult r =
+          interpretLeg(stop - instrCount_ > kBurst ? instrCount_ + kBurst
+                                                   : stop);
       if (r.status == RunStatus::BudgetExceeded &&
           r.instrCount < (budget_ < stopAt_ ? budget_ : stopAt_))
         continue;
       return r;
     }
 
+    const std::uint64_t watchStart = watching ? seedWatch() : 0;
+    ctx.prof = profiling_ ? profile_.data()
+                          : watching ? watch_.data() : nullptr;
     ctx.ic = instrCount_;
     ctx.budget = stop;
-    static const bool trace = std::getenv("CARE_JIT_TRACE") != nullptr;
-    if (trace)
-      std::fprintf(stderr, "[jit] enter m=%d f=%d j=%d ic=%llu\n", curModule_,
-                   curFunc_, curInstr_,
-                   static_cast<unsigned long long>(instrCount_));
     jimg.enter(ctx, entry);
-    if (trace)
-      std::fprintf(stderr, "[jit] exit kind=%d m=%d f=%d j=%d ic=%llu\n",
-                   ctx.exitKind, ctx.module, ctx.func, ctx.instr,
-                   static_cast<unsigned long long>(ctx.ic));
 
-    // Publish the exit state the way the interpreter's SYNC() does.
+    // Publish the exit state the way the reference loop keeps its members.
     instrCount_ = ctx.ic;
     curModule_ = ctx.module;
     curFunc_ = ctx.func;
     curInstr_ = ctx.instr;
     fn_ = &image_->function({curModule_, curFunc_, 0});
+    const JitExit exit = static_cast<JitExit>(ctx.exitKind);
 
-    switch (static_cast<JitExit>(ctx.exitKind)) {
+    if (watching) {
+      // Completed executions of the armed site: the slot's advance, less an
+      // attempt that left without completing — a trap at the site, or the
+      // halt or barrier the reference loop returns from before its
+      // injection check. The watch exit already un-counted its own.
+      std::uint64_t seen = watch_[watchSlot_] - watchStart;
+      const std::int32_t at = exit == JitExit::Yield ? ctx.instr - 1
+                                                     : ctx.instr;
+      if ((exit == JitExit::Trap || exit == JitExit::Done ||
+           exit == JitExit::Yield) &&
+          at == injLoc_.instr && ctx.func == injLoc_.func &&
+          ctx.module == injLoc_.module)
+        --seen;
+      injSeen_ += seen;
+    }
+
+    switch (exit) {
     case JitExit::Done:
       res.status = RunStatus::Done;
       res.instrCount = instrCount_;
@@ -169,7 +182,7 @@ RunResult Executor::runJit() {
 
     case JitExit::BadPCInternal:
       // Fell or branched past the function end: hook-invisible, exactly
-      // like the interpreter loops' oob_pc path.
+      // like the reference loop's bounds check.
       res.status = RunStatus::Trapped;
       res.trap = Trap{TrapKind::BadPC, currentPC(), 0};
       res.instrCount = instrCount_;
@@ -178,7 +191,7 @@ RunResult Executor::runJit() {
     case JitExit::CrossJump: {
       // Ret to a PC the code cache would not resolve. A wild address is a
       // BadPC with an observe-only hook (Retry is meaningless for a lost
-      // PC, as in L_Ret); a valid one continues at the loop top.
+      // PC, as in the reference loop); a valid one continues at the top.
       const CodeLoc loc = image_->locate(ctx.retPC);
       if (loc.valid()) {
         jumpTo(loc);
@@ -199,13 +212,10 @@ RunResult Executor::runJit() {
       continue;
 
     case JitExit::ColdOp: {
-      // Single-step the rare op, or the access to a SECDED-shadowed page,
-      // on the interpreter, then resume natively at the next instruction
-      // (its counter increment happens there).
-      const std::uint64_t save = stopAt_;
-      stopAt_ = instrCount_ + 1;
-      RunResult r = interpret(fast);
-      stopAt_ = save;
+      // Single-step the rare op, the access to a SECDED-shadowed page or
+      // the armed site's firing execution on the reference loop, then
+      // resume natively at the next instruction.
+      const RunResult r = interpretLeg(instrCount_ + 1);
       if (r.status == RunStatus::BudgetExceeded &&
           r.instrCount < (budget_ < stopAt_ ? budget_ : stopAt_))
         continue;

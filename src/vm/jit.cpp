@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <type_traits>
@@ -61,7 +60,7 @@ bool warnJitUnavailableOnce() {
   std::call_once(gWarnJitOnce, [&emitted] {
     std::fprintf(stderr,
                  "[care] jit: executable mappings unavailable; falling "
-                 "back to the fast interpreter\n");
+                 "back to the reference interpreter\n");
     gWarnJitCount.fetch_add(1, std::memory_order_relaxed);
     emitted = true;
   });
@@ -81,20 +80,29 @@ constexpr std::uintptr_t kJitMissShadowed = 1;
 
 extern "C" {
 
-// TLB-miss helpers: the page's backing store (now cached in the TLB),
+// TLB-miss helpers for the access at `addr`: the page's backing store,
 // nullptr for an unmapped page, or kJitMissShadowed for a SECDED-shadowed
-// page, which Memory never caches and emitted code must not touch inline.
-const std::uint8_t* careJitReadMiss(Memory* mem, std::uint64_t pageNo) {
+// page, which Memory never caches and emitted code must not touch inline
+// (the reference loop's typed path performs, and traces, that access).
+// While an access trace is armed no page is cached, so every access lands
+// here and is recorded exactly as the typed accessors record it.
+const std::uint8_t* careJitReadMiss(Memory* mem, std::uint64_t addr) {
+  const std::uint64_t pageNo = addr >> Memory::kPageShift;
   const std::uint8_t* p = mem->readPage(pageNo);
-  if (p && mem->eccShadowed(pageNo))
+  if (!p) return nullptr;
+  if (mem->eccShadowed(pageNo))
     return reinterpret_cast<const std::uint8_t*>(kJitMissShadowed);
+  mem->traceAccess(addr);
   return p;
 }
 
-std::uint8_t* careJitWriteMiss(Memory* mem, std::uint64_t pageNo) {
+std::uint8_t* careJitWriteMiss(Memory* mem, std::uint64_t addr) {
+  const std::uint64_t pageNo = addr >> Memory::kPageShift;
   std::uint8_t* p = mem->writePage(pageNo);
-  if (p && mem->eccShadowed(pageNo))
+  if (!p) return nullptr;
+  if (mem->eccShadowed(pageNo))
     return reinterpret_cast<std::uint8_t*>(kJitMissShadowed);
+  mem->traceAccess(addr);
   return p;
 }
 
@@ -148,8 +156,9 @@ constexpr int kRTlb = R12, kWTlb = RBP;
 
 // Condition codes (low nibble of 0F 8x / 0F 9x).
 enum Cc {
-  CcB = 0x2, CcAE = 0x3, CcE = 0x4, CcNE = 0x5, CcBE = 0x6, CcA = 0x7,
-  CcP = 0xA, CcNP = 0xB, CcL = 0xC, CcGE = 0xD, CcLE = 0xE, CcG = 0xF,
+  CcO = 0x0, CcB = 0x2, CcAE = 0x3, CcE = 0x4, CcNE = 0x5, CcBE = 0x6,
+  CcA = 0x7, CcP = 0xA, CcNP = 0xB, CcL = 0xC, CcGE = 0xD, CcLE = 0xE,
+  CcG = 0xF,
 };
 
 // ---- a tiny one-pass assembler with labels ---------------------------------
@@ -225,7 +234,6 @@ struct Asm {
   void movRR(int dst, int src) { rexW(dst, 0, src); u8(0x8B); modrm(3, dst, src); }
   void movRM(int dst, int base, std::int32_t d) { rexW(dst, 0, base); u8(0x8B); mem(dst, base, d); }
   void movMR(int base, std::int32_t d, int src) { rexW(src, 0, base); u8(0x89); mem(src, base, d); }
-  void movRM32(int dst, int base, std::int32_t d) { rex(false, dst, 0, base); u8(0x8B); mem(dst, base, d); }
   void movMR32(int base, std::int32_t d, int src) { rex(false, src, 0, base); u8(0x89); mem(src, base, d); }
   void movsxdRM(int dst, int base, std::int32_t d) { rexW(dst, 0, base); u8(0x63); mem(dst, base, d); }
   void movsxdRR(int dst, int src) { rexW(dst, 0, src); u8(0x63); modrm(3, dst, src); }
@@ -395,14 +403,15 @@ bool isEnder(DKind k) {
 bool hasTarget(DKind k) {
   return (k >= DKind::BrEqRR && k <= DKind::FBrGe) || k == DKind::Jmp;
 }
-// Ops the templates do not cover: the driver single-steps these in the
-// interpreter (ColdOp exit). All are rare fused forms.
+// Ops the templates do not cover: the driver single-steps these on the
+// reference loop (ColdOp exit). All are rare fused forms.
 bool isColdInst(const DInst& d) {
   const MOp op = static_cast<MOp>(d.sub);
   if (d.kind == DKind::IAluMem) {
     if (d.memType != MType::I32 && d.memType != MType::I64) return true;
     return !(op == MOp::IAdd || op == MOp::ISub || op == MOp::IMul ||
-             op == MOp::IAnd || op == MOp::IOr || op == MOp::IXor);
+             op == MOp::IDiv || op == MOp::IRem || op == MOp::IAnd ||
+             op == MOp::IOr || op == MOp::IXor);
   }
   if (d.kind == DKind::FAluMem) {
     if (d.memType != MType::F32 && d.memType != MType::F64) return true;
@@ -425,17 +434,20 @@ struct FnArtifact {
 // per-function exit tails and the trampoline to the common exit thunk.
 //
 // With a profile base (>= 0: the function's LoadedModule::profileBase)
-// it emits the profiling variant: each template also increments its
+// it emits the counting variant: each template also increments its
 // instruction's counter in JitContext::prof right after ++ic, and every
 // path that un-counts an instruction (the shadowed-page exit) un-counts it
-// there too. Without one, the emitted bytes are the clean variant's.
+// there too. A counter increment that overflows (signed) takes the watch
+// exit: the instruction is un-counted and handed to the reference loop
+// through ColdOp — how the driver stops on an armed injection's firing
+// execution. Without a base, the emitted bytes are the clean variant's.
 class FnCompiler {
 public:
   FnCompiler(const DecodedFunction& df, std::int32_t m, std::int32_t f,
              const std::vector<std::vector<std::atomic<const void*>>>& slots,
              const void* commonExit, std::int64_t profBase)
       : code_(df.code.data()),
-        n_(df.code.size() - 1), // exclude the OobGuard sentinel
+        n_(df.code.size()),
         m_(m), f_(f), slots_(slots), commonExit_(commonExit),
         profBase_(profBase) {}
 
@@ -443,7 +455,7 @@ public:
     FnArtifact art;
     if (n_ == 0) return art; // nothing to enter; interpret
     // Counter displacements are disp32: an image too large for them keeps
-    // its profiling runs on the interpreter.
+    // its counted runs on the reference loop.
     if (profBase_ >= 0 &&
         8 * (profBase_ + static_cast<std::int64_t>(n_)) > INT32_MAX)
       return art;
@@ -459,12 +471,7 @@ public:
         emitBlockCheck(static_cast<std::int32_t>(j));
       }
       art.instrOff[j] = static_cast<std::uint32_t>(a_.off());
-      if (!emitInstr(static_cast<std::int32_t>(j))) {
-        if (std::getenv("CARE_JIT_TRACE"))
-          std::fprintf(stderr, "[jit] compile bail m=%d f=%d j=%zu kind=%d\n",
-                       m_, f_, j, static_cast<int>(code_[j].kind));
-        return art;
-      }
+      if (!emitInstr(static_cast<std::int32_t>(j))) return art;
     }
     // Fell off the end: the reference loop reports BadPC at the last
     // executed instruction, hook-invisible.
@@ -477,11 +484,7 @@ public:
       emitCold();
     }
     emitExitTails();
-    if (!a_.resolve()) {
-      if (std::getenv("CARE_JIT_TRACE"))
-        std::fprintf(stderr, "[jit] resolve bail m=%d f=%d\n", m_, f_);
-      return art;
-    }
+    if (!a_.resolve()) return art;
     art.code = std::move(a_.b);
     art.suffixLen = std::move(suffix_);
     art.ok = true;
@@ -542,7 +545,7 @@ private:
   }
 
   // Block-entry budget check: enter only if every instruction of the block
-  // still fits; otherwise deopt so the interpreter stops on the exact
+  // still fits; otherwise deopt so the reference loop stops on the exact
   // boundary.
   void emitBlockCheck(std::int32_t j) {
     a_.leaRM(RAX, kIc, static_cast<std::int32_t>(suffix_[j]));
@@ -573,9 +576,9 @@ private:
 
   // Shared tail for a TLB miss the helper could not resolve; the position
   // is already in the context and the helper's result in RAX. An unmapped
-  // page is the interpreter-identical SegFault at the spilled EA. A
-  // SECDED-shadowed page un-counts the instruction (in the profiling
-  // variant its counter too) and hands it to the interpreter like a cold
+  // page is the reference loop's SegFault at the spilled EA. A
+  // SECDED-shadowed page un-counts the instruction (in the counting
+  // variant its counter too) and hands it to the reference loop like a cold
   // op.
   int missFailLabel() {
     if (missFailLbl_ >= 0) return missFailLbl_;
@@ -605,7 +608,7 @@ private:
   }
 
   // EA -> RSI (clobbers RAX). disp + g[base] + (g[index] << scale), always
-  // reading both register slots like the interpreter does.
+  // reading both register slots (absent operands alias the zero slot).
   void emitEA(const DInst& d) {
     a_.movRM(RSI, kG, 8 * d.base);
     a_.movRM(RAX, kG, 8 * d.index);
@@ -630,11 +633,12 @@ private:
 
   // Page translation through the software TLB. In: EA in RSI. Out: page
   // backing store in RDX, RSI preserved. The miss path spills the EA and
-  // the position, calls the Memory miss handler (which refills the TLB) and
-  // either resumes or takes the function's shared miss-failure tail: the
-  // interpreter-identical SegFault, or — for a SECDED-shadowed page — the
-  // ColdOp exit, so the interpreter's typed path verifies the access. Every
-  // caller translates before its first side effect, so that exit is clean.
+  // the position, calls the miss helper with the EA (which refills the TLB
+  // and, while a trace is armed, records the access) and either resumes or
+  // takes the function's shared miss-failure tail: the reference loop's
+  // SegFault, or — for a SECDED-shadowed page — the ColdOp exit, so the
+  // reference loop's typed path verifies it. Every caller translates
+  // before its first side effect, so that exit is clean.
   void emitTlb(std::int32_t j, bool write) {
     const int tlbBase = write ? kWTlb : kRTlb;
     const std::uint64_t helper = reinterpret_cast<std::uint64_t>(
@@ -655,8 +659,7 @@ private:
       a_.bind(miss);
       a_.movMR(kCtx, kOffScratch, RSI);
       a_.movMImm32(kCtx, kOffInstr, static_cast<std::uint32_t>(j));
-      a_.movRM(RDI, kCtx, kOffMem);
-      a_.movRR(RSI, RCX);
+      a_.movRM(RDI, kCtx, kOffMem); // helper(mem, EA)
       a_.movImm64(RAX, helper);
       a_.callR(RAX);
       // Null (unmapped) and kJitMissShadowed both compare below-or-equal.
@@ -679,6 +682,7 @@ private:
   void emitIAlu(std::int32_t j, const DInst& d, int idx);
   void emitIAlu32(const DInst& d, int idx);
   void emitDivRem(std::int32_t j, const DInst& d, bool isDiv, bool isImm);
+  void emitDivCore(std::int32_t j, bool isDiv, bool narrow);
   void emitAluMem(std::int32_t j, const DInst& d);
   void emitFAluMem(std::int32_t j, const DInst& d);
   void emitSetF(const DInst& d, int pred);
@@ -716,22 +720,35 @@ namespace care::vm {
 namespace {
 
 // ---- per-instruction templates --------------------------------------------
-// Each template mirrors its executor_fast.cpp handler exactly: same
-// evaluation order, same wrap/sign-extension points, same trap kinds and
-// faulting addresses. The ++ic at the top matches DISPATCH()'s count.
+// Each template mirrors its case in the reference loop (runReference)
+// exactly: same evaluation order, same wrap/sign-extension points, same
+// trap kinds and faulting addresses. The ++ic at the top matches the
+// reference loop's count.
 
 bool FnCompiler::emitInstr(std::int32_t j) {
   const DInst& d = at(j);
   if (isColdInst(d)) {
-    // Rare fused form: hand exactly this instruction to the interpreter.
+    // Rare fused form: hand exactly this instruction to the reference loop.
     a_.movMImm32(kCtx, kOffInstr, static_cast<std::uint32_t>(j));
     a_.jmpTo(exitLabel(JitExit::ColdOp));
     return true;
   }
   a_.incR(kIc);
-  if (profBase_ >= 0) { // the interpreter's ++profRow[j], next to its ++ic
+  if (profBase_ >= 0) { // the reference loop's ++profile_, next to its ++ic
+    const std::int32_t disp = static_cast<std::int32_t>(8 * (profBase_ + j));
     a_.movRM(RAX, kCtx, kOffProf);
-    a_.incM(RAX, static_cast<std::int32_t>(8 * (profBase_ + j)));
+    a_.incM(RAX, disp);
+    // The watch exit: un-count and hand this execution to the reference
+    // loop. RAX still holds the counter row.
+    const int watch = a_.newLabel();
+    a_.jccTo(CcO, watch);
+    cold_.push_back([this, watch, j, disp] {
+      a_.bind(watch);
+      a_.decM(RAX, disp);
+      a_.addImm(kIc, -1);
+      a_.movMImm32(kCtx, kOffInstr, static_cast<std::uint32_t>(j));
+      a_.jmpTo(exitLabel(JitExit::ColdOp));
+    });
   }
   const int k = static_cast<int>(d.kind);
   static constexpr int kCcOf[6] = {CcE, CcNE, CcL, CcLE, CcG, CcGE};
@@ -878,7 +895,7 @@ bool FnCompiler::emitInstr(std::int32_t j) {
     a_.jmpTo(exitLabel(JitExit::Yield));
     return true;
   default:
-    return false; // OobGuard mid-stream / unknown kind: refuse the function
+    return false; // unknown kind: refuse the function
   }
 }
 
@@ -1013,13 +1030,19 @@ void FnCompiler::emitIAlu32(const DInst& d, int idx) {
 
 void FnCompiler::emitDivRem(std::int32_t j, const DInst& d, bool isDiv,
                             bool isImm) {
-  const bool narrow = d.sext != 0;
+  a_.movRM(RAX, kG, 8 * d.src1);
+  emitIntRhs(d, isImm);
+  emitDivCore(j, isDiv, d.sext != 0);
+  a_.movMR(kG, 8 * d.dst, RAX);
+}
+
+// Dividend in RAX, divisor in RCX -> quotient or remainder in RAX, with
+// intAluOp's Fpe checks (zero divisor, MIN / -1) at the operation's width.
+// A narrow operation reads only the low halves and norm32-wraps its result.
+void FnCompiler::emitDivCore(std::int32_t j, bool isDiv, bool narrow) {
   const int fpe = coldTrap(j, TrapKind::Fpe, TrapAddrFrom::Zero);
   const int ok = a_.newLabel();
   if (narrow) {
-    a_.movRM32(RAX, kG, 8 * d.src1);
-    if (isImm) a_.movImm32(RCX, static_cast<std::uint32_t>(d.imm));
-    else a_.movRM32(RCX, kG, 8 * d.src2);
     a_.testRR(RCX, RCX, false);
     a_.jccTo(CcE, fpe);
     a_.cmpImm(RCX, -1, false);
@@ -1031,8 +1054,6 @@ void FnCompiler::emitDivRem(std::int32_t j, const DInst& d, bool isDiv,
     a_.idivR(RCX, false);
     a_.movsxdRR(RAX, isDiv ? RAX : RDX); // norm32 of the 32-bit result
   } else {
-    a_.movRM(RAX, kG, 8 * d.src1);
-    emitIntRhs(d, isImm);
     a_.testRR(RCX, RCX);
     a_.jccTo(CcE, fpe);
     a_.cmpImm(RCX, -1);
@@ -1045,7 +1066,6 @@ void FnCompiler::emitDivRem(std::int32_t j, const DInst& d, bool isDiv,
     a_.idivR(RCX);
     if (!isDiv) a_.movRR(RAX, RDX);
   }
-  a_.movMR(kG, 8 * d.dst, RAX);
 }
 
 void FnCompiler::emitAluMem(std::int32_t j, const DInst& d) {
@@ -1058,7 +1078,13 @@ void FnCompiler::emitAluMem(std::int32_t j, const DInst& d) {
   else movRSib(a_, RCX, RDX, RAX, 0);
   a_.movRM(RAX, kG, 8 * d.src1);
   const bool w = d.sext == 0;
-  switch (static_cast<MOp>(d.sub)) {
+  const MOp op = static_cast<MOp>(d.sub);
+  if (op == MOp::IDiv || op == MOp::IRem) {
+    emitDivCore(j, op == MOp::IDiv, !w);
+    a_.movMR(kG, 8 * d.dst, RAX);
+    return;
+  }
+  switch (op) {
   case MOp::IAdd: a_.addRR(RAX, RCX, w); break;
   case MOp::ISub: a_.subRR(RAX, RCX, w); break;
   case MOp::IMul: a_.imulRR(RAX, RCX, w); break;
@@ -1341,21 +1367,23 @@ JitImage::JitImage(const Image& image)
 
 JitImage::~JitImage() = default;
 
-JitImage::FnJit* JitImage::compileLocked(bool profiled, std::int32_t m,
+JitImage::FnJit* JitImage::compileLocked(bool counted, std::int32_t m,
                                          std::int32_t f) {
-  Variant& v = variants_[profiled ? 1 : 0];
+  Variant& v = variants_[counted ? 1 : 0];
   auto& cell = v.fns[static_cast<std::size_t>(m)][static_cast<std::size_t>(f)];
   if (FnJit* fj = cell.load(std::memory_order_relaxed)) return fj;
   const DecodedFunction& df =
       image_.decoded().funcs[static_cast<std::size_t>(m)]
                            [static_cast<std::size_t>(f)];
   const std::int64_t profBase =
-      profiled ? static_cast<std::int64_t>(
-                     image_.module(static_cast<std::size_t>(m))
-                         .profileBase[static_cast<std::size_t>(f)])
-               : -1;
+      counted ? static_cast<std::int64_t>(
+                    image_.module(static_cast<std::size_t>(m))
+                        .profileBase[static_cast<std::size_t>(f)])
+              : -1;
   FnCompiler fc(df, m, f, v.slots, commonExit_, profBase);
   FnArtifact art = fc.run();
+  if (!art.ok && !df.code.empty())
+    compileFailures_.fetch_add(1, std::memory_order_relaxed);
   auto own = std::make_unique<FnJit>();
   if (art.ok) {
     if (const std::uint8_t* base = sealIntoChunk(chunks_, art.code)) {
@@ -1378,13 +1406,13 @@ JitImage::FnJit* JitImage::compileLocked(bool profiled, std::int32_t m,
 
 const void* JitImage::entryFor(std::int32_t m, std::int32_t f, std::int32_t j,
                                std::uint64_t ic, std::uint64_t limit,
-                               bool profiled) {
+                               bool counted) {
   if (broken_ || m < 0 || f < 0 || j < 0) return nullptr;
   if (static_cast<std::size_t>(m) >= touches_.size() ||
       static_cast<std::size_t>(f) >=
           touches_[static_cast<std::size_t>(m)].size())
     return nullptr;
-  FnJit* fj = variants_[profiled ? 1 : 0]
+  FnJit* fj = variants_[counted ? 1 : 0]
                   .fns[static_cast<std::size_t>(m)][static_cast<std::size_t>(f)]
                   .load(std::memory_order_acquire);
   if (!fj) {
@@ -1396,7 +1424,7 @@ const void* JitImage::entryFor(std::int32_t m, std::int32_t f, std::int32_t j,
       if (t < threshold_) return nullptr;
     }
     std::lock_guard<std::mutex> lk(compileMutex_);
-    fj = compileLocked(profiled, m, f);
+    fj = compileLocked(counted, m, f);
     if (!fj) return nullptr;
   }
   if (!fj->base) return nullptr;
@@ -1408,10 +1436,10 @@ const void* JitImage::entryFor(std::int32_t m, std::int32_t f, std::int32_t j,
 }
 
 const void* JitImage::entryForPC(std::uint64_t pc, std::uint64_t ic,
-                                 std::uint64_t limit, bool profiled) {
+                                 std::uint64_t limit, bool counted) {
   const CodeLoc loc = image_.locate(pc);
   if (!loc.valid()) return nullptr;
-  return entryFor(loc.module, loc.func, loc.instr, ic, limit, profiled);
+  return entryFor(loc.module, loc.func, loc.instr, ic, limit, counted);
 }
 
 void JitImage::enter(JitContext& ctx, const void* target) const {
@@ -1419,6 +1447,10 @@ void JitImage::enter(JitContext& ctx, const void* target) const {
   const auto fn =
       reinterpret_cast<EntryFn>(reinterpret_cast<std::uintptr_t>(entryThunk_));
   fn(&ctx, target);
+}
+
+std::uint64_t JitImage::compileFailures() const {
+  return compileFailures_.load(std::memory_order_relaxed);
 }
 
 std::size_t JitImage::compiledFunctions() const {

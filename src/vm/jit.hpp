@@ -1,18 +1,18 @@
 // Baseline template JIT: predecoded DInst streams -> native x86-64.
 //
-// The third interpreter backend (`--interp=jit` / CARE_INTERP=jit) compiles
-// each MFunction's predecoded stream into a W^X mmap chunk: every basic
-// block is a run of inline templates (ALU on the MachineState register
-// file, software-TLB page translation for memory traffic, direct rel32
-// jumps between blocks of the same function, slot-indirect jumps between
-// functions), bracketed by one per-block budget check. The CARE contract —
-// a fault surfaces as the same TrapKind with registers, frame, output and
-// absolute instrCount materialized at the faulting MIR instruction — is
-// preserved by construction:
+// The `jit` backend (the default; `--interp=jit` / CARE_INTERP=jit)
+// compiles each MFunction's predecoded stream into a W^X mmap chunk: every
+// basic block is a run of inline templates (ALU on the MachineState
+// register file, software-TLB page translation for memory traffic, direct
+// rel32 jumps between blocks of the same function, slot-indirect jumps
+// between functions), bracketed by one per-block budget check. The CARE
+// contract — a fault surfaces as the same TrapKind with registers, frame,
+// output and absolute instrCount materialized at the faulting MIR
+// instruction — is preserved by construction:
 //
 //  * the instruction counter lives in a host register and is incremented
-//    at the top of every template, exactly where the interpreter loops
-//    count, so a trap stub materializes the same instrCount;
+//    at the top of every template, exactly where the reference loop
+//    counts, so a trap stub materializes the same instrCount;
 //  * every trap site exits through a stub that records (instr index,
 //    TrapKind, faulting address) and returns to the driver, which invokes
 //    the trap hook against fully synced Executor members — Safeguard, the
@@ -20,21 +20,26 @@
 //    apart;
 //  * exact dynamic-instruction budgets come from per-block counting: a
 //    block whose full length no longer fits the budget is never entered
-//    natively — the driver deopts to the fast interpreter, whose
+//    natively — the driver deopts to the reference loop, whose
 //    per-instruction check stops on the exact boundary (the same shared
 //    stop mechanism runCheckpointed() and the replay cache use);
-//  * cold or rare ops (fused div-from-memory, sub-word fused loads) exit
-//    through a ColdOp stub and are single-stepped by the interpreter, then
-//    native execution resumes at the next instruction. An access to a
-//    SECDED-shadowed page, which Memory never caches in its TLB, leaves the
-//    same way from the TLB-miss stub, so the interpreter's typed path
-//    verifies it;
-//  * profiling runs keep the interpreters' per-instruction counts: each
-//    function has a second, profiling variant, compiled on a profiling
-//    executor's first entry, that increments the executor's counter row
+//  * cold ops (sub-word fused loads, fused FP forms on integer memory)
+//    exit through a ColdOp stub and are single-stepped by the reference
+//    loop, then native execution resumes at the next instruction. An
+//    access to a SECDED-shadowed page, which Memory never caches in its
+//    TLB, leaves the same way from the TLB-miss stub, so the typed path
+//    verifies it. While an access trace is armed no page is cached at all,
+//    and the miss helpers record every access;
+//  * counted runs keep the reference loop's per-instruction counts: each
+//    function has a second, counting variant, compiled on a counting
+//    executor's first entry, that increments a counter row
 //    (JitContext::prof) next to every ++ic and un-counts on the same paths
-//    that undo ++ic. It calls only its own variant through its own slot
-//    table, and the clean variant's code does not change.
+//    that undo ++ic. Profiling runs point it at their profile row; armed
+//    injection runs at a watch row whose armed slot overflows on the
+//    execution that is due to fire, which the counting variant hands to
+//    the reference loop un-counted (the watch exit). It calls only its own
+//    variant through its own slot table, and the clean variant's code does
+//    not change.
 //
 // Compilation is per-function, on the Nth driver touch
 // (CARE_JIT_THRESHOLD, default 1 = first touch), into chunks that are
@@ -42,7 +47,7 @@
 // ever writable and executable at once, and no sealed page is rewritten
 // (cross-function calls go through patchable data slots, never through
 // code). If the host forbids executable mappings entirely, jitAvailable()
-// turns false and the executor falls back to the fast interpreter with a
+// turns false and the executor falls back to the reference loop with a
 // one-line warning.
 #pragma once
 
@@ -61,14 +66,14 @@ class Image;
 class Memory;
 
 /// True when this process can mmap executable memory (probed once). When
-/// false, InterpKind::Jit silently degrades to the fast interpreter after
-/// a single stderr warning.
+/// false, InterpKind::Jit degrades to the reference loop after a single
+/// stderr warning.
 bool jitAvailable();
 
 /// CARE_JIT_THRESHOLD parsed as a decimal touch count (a function is
 /// compiled on its Nth driver touch), or `fallback` when unset/empty; a
 /// malformed value throws care::Error. 0 is clamped to 1; a huge value
-/// effectively pins the mixed-mode driver to the interpreter.
+/// effectively pins the mixed-mode driver to the reference loop.
 std::uint64_t jitThresholdFromEnv(std::uint64_t fallback = 1);
 
 /// Emit the "executable mappings unavailable, falling back" warning —
@@ -101,10 +106,11 @@ struct JitContext {
   std::int32_t exitKind = 0;         // JitExit
   std::int32_t trapKind = 0;         // TrapKind at a Trap exit
   std::int32_t module = 0, func = 0, instr = 0; // position at exit
-  // Profiling run: the owning Executor's flat per-instruction counter row
-  // (Image::profileSlots), which the profiling variant increments; null
-  // selects the clean variant. Last, so the clean variant's field offsets
-  // (and with them its emitted bytes) do not depend on it.
+  // Counted run: the owning Executor's flat per-instruction counter row
+  // (Image::profileSlots) — its profile row or its injection watch row —
+  // which the counting variant increments; null selects the clean variant.
+  // Last, so the clean variant's field offsets (and with them its emitted
+  // bytes) do not depend on it.
   std::uint64_t* prof = nullptr;
 };
 
@@ -115,8 +121,9 @@ enum class JitExit : std::int32_t {
   BadPCInternal, // fell/branched past the function end (no hook, like oob_pc)
   CrossJump,     // Ret to a PC with no native entry; retPC holds it
   CrossEnter,    // call into a not-yet-compiled function; position set
-  Deopt,         // block no longer fits the budget; interpreter finishes
-  ColdOp,        // rare op at `instr`: single-step it in the interpreter
+  Deopt,         // block no longer fits the budget; reference loop finishes
+  ColdOp,        // `instr` (cold op, shadowed page, watched injection):
+                 // single-step it on the reference loop, un-counted here
   Yield,         // Barrier; position is the resume point
 };
 
@@ -130,19 +137,19 @@ public:
   JitImage& operator=(const JitImage&) = delete;
 
   /// Native address to enter for position (m, f, j) under the given
-  /// counter/limit, in the clean or the profiling variant, or nullptr when
+  /// counter/limit, in the clean or the counting variant, or nullptr when
   /// the driver should interpret instead: the function is below its
   /// compile threshold (touches are counted here, shared by both
   /// variants), compilation failed, or the remainder of j's basic block no
   /// longer fits `limit` (the budget-exactness deopt). Each variant of a
   /// function is compiled on its own first entry past the threshold.
   const void* entryFor(std::int32_t m, std::int32_t f, std::int32_t j,
-                       std::uint64_t ic, std::uint64_t limit, bool profiled);
+                       std::uint64_t ic, std::uint64_t limit, bool counted);
 
   /// entryFor for a raw code address (the Ret path): resolves `pc` through
   /// Image::locate. Returns nullptr for wild PCs too.
   const void* entryForPC(std::uint64_t pc, std::uint64_t ic,
-                         std::uint64_t limit, bool profiled);
+                         std::uint64_t limit, bool counted);
 
   /// The shared entry thunk: saves host state, seats the fixed registers
   /// from `ctx`, jumps to `target` (a value from entryFor).
@@ -156,14 +163,19 @@ public:
 
   /// Compiled-function count of the clean variant (tests/telemetry).
   std::size_t compiledFunctions() const;
+  /// Non-empty functions, over both variants, whose compile bailed (an op
+  /// no template covers, or an image too large for the counter
+  /// displacements). Each runs entirely on the reference loop, so this is
+  /// 0 on every shipped workload.
+  std::uint64_t compileFailures() const;
 
 private:
   struct FnJit;
   struct Chunk;
 
-  // One compiled flavour of every function. The profiling variant differs
+  // One compiled flavour of every function. The counting variant differs
   // from the clean one only by its counter updates, and has its own call
-  // slots, so profiled code only ever calls profiled code.
+  // slots, so counting code only ever calls counting code.
   struct Variant {
     // One slot per function: the address cross-function call templates
     // jump through. Initially the function's CrossEnter stub (shared by
@@ -173,11 +185,11 @@ private:
     std::vector<std::vector<std::atomic<FnJit*>>> fns;
   };
 
-  FnJit* compileLocked(bool profiled, std::int32_t m, std::int32_t f);
+  FnJit* compileLocked(bool counted, std::int32_t m, std::int32_t f);
 
   const Image& image_;
   std::uint64_t threshold_;
-  Variant variants_[2]; // [0] clean, [1] profiling
+  Variant variants_[2]; // [0] clean, [1] counting
   std::vector<std::vector<std::atomic<std::uint64_t>>> touches_;
   std::vector<std::unique_ptr<Chunk>> chunks_;
   std::vector<std::unique_ptr<FnJit>> fnStore_;
@@ -185,6 +197,7 @@ private:
   const void* entryThunk_ = nullptr;
   const void* commonExit_ = nullptr;
   std::mutex compileMutex_;
+  std::atomic<std::uint64_t> compileFailures_{0};
   bool broken_ = false; // a chunk allocation failed; interpret everything
 
   friend const void* jitResolveRet(JitContext* ctx, std::uint64_t pc);

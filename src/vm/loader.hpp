@@ -36,8 +36,8 @@ struct LoadedModule {
   std::uint64_t codeEnd = 0;
   std::vector<std::uint64_t> funcBase;    // code address of each function
   /// Flat profile-counter slot of each function's instruction 0. Every
-  /// function owns code.size() + 1 consecutive slots (one pad slot, see
-  /// Executor::enableProfiling), laid out in load order across modules.
+  /// function owns code.size() consecutive slots, laid out in load order
+  /// across modules.
   std::vector<std::size_t> profileBase;
   std::vector<std::uint64_t> globalAddr;  // data address of each global
   std::vector<FuncRef> externTargets;     // resolved extern table
@@ -89,8 +89,8 @@ public:
   /// pointer (stack top).
   std::uint64_t initMemory(Memory& mem) const;
 
-  /// The predecoded dispatch streams for the fast interpreter, built
-  /// lazily (and thread-safely) on first use. Must be called after link().
+  /// The predecoded streams the JIT compiles, built lazily (and
+  /// thread-safely) on first use. Must be called after link().
   const DecodedImage& decoded() const;
 
   /// The per-image native code cache for the JIT backend, built lazily on

@@ -47,9 +47,9 @@ bool Memory::isMapped(std::uint64_t addr) const {
 const std::uint8_t* Memory::readMiss(std::uint64_t pageNo) const {
   auto it = pages_.find(pageNo);
   if (it == pages_.end()) return nullptr;
-  // A shadowed page stays out of the TLB, so emitted code never reads it
-  // inline (see eccShadowed()).
-  if (eccShadowed(pageNo)) return it->second->data();
+  // A shadowed page, or any page while a trace is armed, stays out of the
+  // TLB, so emitted code never reads it inline (see eccShadowed()).
+  if (traceSink_ || eccShadowed(pageNo)) return it->second->data();
   TlbEntry& e = readTlb_[pageNo & (kTlbEntries - 1)];
   e.pageNo = pageNo;
   e.data = it->second->data();
@@ -68,7 +68,7 @@ std::uint8_t* Memory::writeMiss(std::uint64_t pageNo) {
     TlbEntry& r = readTlb_[pageNo & (kTlbEntries - 1)];
     if (r.pageNo == pageNo) r.data = slot->data();
   }
-  if (eccShadowed(pageNo)) return slot->data();
+  if (traceSink_ || eccShadowed(pageNo)) return slot->data();
   TlbEntry& e = writeTlb_[pageNo & (kTlbEntries - 1)];
   e.pageNo = pageNo;
   e.data = slot->data();
@@ -129,7 +129,7 @@ MemStatus Memory::load(std::uint64_t addr, MType type,
   }
   const std::uint8_t* page = readPage(addr / kPageSize);
   if (!page) return MemStatus::Unmapped;
-  if (traceSink_) traceSink_->push_back(addr & ~7ull);
+  traceAccess(addr);
   const std::uint64_t off = addr % kPageSize; // size-aligned: no page split
   std::uint64_t raw = 0;
   std::memcpy(&raw, page + off, size);
@@ -154,7 +154,7 @@ MemStatus Memory::loadF(std::uint64_t addr, MType type, double& out) const {
   }
   const std::uint8_t* page = readPage(addr / kPageSize);
   if (!page) return MemStatus::Unmapped;
-  if (traceSink_) traceSink_->push_back(addr & ~7ull);
+  traceAccess(addr);
   const std::uint64_t off = addr % kPageSize;
   if (type == MType::F32) {
     float f;
@@ -177,7 +177,7 @@ MemStatus Memory::store(std::uint64_t addr, MType type, std::uint64_t v) {
   }
   std::uint8_t* page = writePage(addr / kPageSize);
   if (!page) return MemStatus::Unmapped;
-  if (traceSink_) traceSink_->push_back(addr & ~7ull);
+  traceAccess(addr);
   std::memcpy(page + addr % kPageSize, &v, size);
   if (eccActive()) eccEncodeWord(addr & ~7ull);
   return MemStatus::Ok;
@@ -192,7 +192,7 @@ MemStatus Memory::storeF(std::uint64_t addr, MType type, double v) {
   }
   std::uint8_t* page = writePage(addr / kPageSize);
   if (!page) return MemStatus::Unmapped;
-  if (traceSink_) traceSink_->push_back(addr & ~7ull);
+  traceAccess(addr);
   if (type == MType::F32) {
     const float f = static_cast<float>(v);
     std::memcpy(page + addr % kPageSize, &f, 4);

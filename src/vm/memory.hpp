@@ -5,7 +5,7 @@
 // analogue of the hardware page-fault -> SIGSEGV path that CARE's entire
 // recovery strategy keys off. Misaligned accesses raise Bus (SIGBUS).
 //
-// Two performance mechanisms back the VM fast path:
+// Two performance mechanisms back the JIT's inline memory path:
 //
 //  * a software TLB: two small direct-mapped translation caches (separate
 //    read and write views) in front of the page table, explicitly flushed
@@ -14,7 +14,8 @@
 //    restoreFrom() / MemorySnapshot::fork() share page storage and a store
 //    copies only the page it touches. The write TLB only ever caches pages
 //    that are exclusively owned, and neither TLB caches a page with an ECC
-//    shadow, which is what makes the hit path a plain pointer compare.
+//    shadow, nor any page while an access trace is armed, which is what
+//    makes the hit path a plain pointer compare.
 #pragma once
 
 #include <array>
@@ -118,13 +119,22 @@ public:
   ///
   /// While a sink is armed, every typed access appends the aligned 64-bit
   /// word address it touches (accesses are naturally aligned, so a typed
-  /// access touches exactly one word). The interpreter loops funnel all
-  /// program accesses through the typed accessors; the JIT driver defers
-  /// to them while a trace is armed (executor_jit.cpp), so traced runs see
-  /// the complete access stream on every backend. The caller owns the
-  /// sink and drains it between runBounded() legs for time-bounded tables.
-  void setAccessTrace(std::vector<std::uint64_t>* sink) { traceSink_ = sink; }
+  /// access touches exactly one word). The reference loop funnels all
+  /// program accesses through the typed accessors. For the JIT, the same
+  /// TLB rule as for shadowed pages applies: while a sink is armed no page
+  /// enters either TLB (arming flushes them), so every emitted access
+  /// takes a miss helper, which records it (jit.cpp). Traced runs thus see
+  /// the complete access stream on both backends. The caller owns the sink
+  /// and drains it between runBounded() legs for time-bounded tables.
+  void setAccessTrace(std::vector<std::uint64_t>* sink) {
+    traceSink_ = sink;
+    flushTlb();
+  }
   bool accessTraceActive() const { return traceSink_ != nullptr; }
+  /// Record an access to `addr` in the armed sink, if any.
+  void traceAccess(std::uint64_t addr) const {
+    if (traceSink_) traceSink_->push_back(addr & ~7ull);
+  }
 
   /// Flip `bits` (positions 0..63) in the aligned 64-bit word containing
   /// `addr`, bypassing ECC maintenance — this is the soft fault. When ECC
@@ -148,9 +158,10 @@ public:
   /// may be restored from again; stores on either side break sharing.
   void restoreFrom(const Memory& other);
 
-  /// Fast-path page translation for the decoded-dispatch interpreter.
-  /// Returns the page's backing store, or nullptr if `pageNo` is unmapped.
-  /// writePage() breaks copy-on-write sharing before returning.
+  /// Page translation through the software TLB (the typed accessors and the
+  /// JIT's miss helpers). Returns the page's backing store, or nullptr if
+  /// `pageNo` is unmapped. writePage() breaks copy-on-write sharing before
+  /// returning.
   const std::uint8_t* readPage(std::uint64_t pageNo) const {
     const TlbEntry& e = readTlb_[pageNo & (kTlbEntries - 1)];
     if (e.pageNo == pageNo) return e.data;

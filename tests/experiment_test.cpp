@@ -272,12 +272,12 @@ TEST(Experiment, InterpBackendStaysOutOfTheCacheKey) {
   } guard;
   const std::string dir = "care_test_artifacts/exp_interp_key";
   std::filesystem::remove_all(dir);
-  vm::setDefaultInterp(vm::InterpKind::Fast);
-  inject::CampaignTelemetry fastTel;
-  const ExperimentResult fast =
-      runExperiment(workloads::hpccg(), unprunedConfig(dir), &fastTel);
-  expectComputed(fastTel);
-  EXPECT_EQ(fastTel.interp, "fast");
+  vm::setDefaultInterp(vm::InterpKind::Ref);
+  inject::CampaignTelemetry refTel;
+  const ExperimentResult ref =
+      runExperiment(workloads::hpccg(), unprunedConfig(dir), &refTel);
+  expectComputed(refTel);
+  EXPECT_EQ(refTel.interp, "ref");
   vm::setDefaultInterp(vm::InterpKind::Jit);
   inject::CampaignTelemetry jitTel;
   const ExperimentResult jit =
@@ -285,10 +285,10 @@ TEST(Experiment, InterpBackendStaysOutOfTheCacheKey) {
   EXPECT_TRUE(jitTel.fromCache);
   EXPECT_EQ(jitTel.interp, "jit");
   EXPECT_EQ(storedCampaignKeys(dir), 1);
-  EXPECT_EQ(inject::serializeDeterministic(fast),
+  EXPECT_EQ(inject::serializeDeterministic(ref),
             inject::serializeDeterministic(jit));
-  for (std::size_t i = 0; i < fast.records.size(); ++i)
-    EXPECT_DOUBLE_EQ(fast.records[i].withCare.recoveryUsTotal,
+  for (std::size_t i = 0; i < ref.records.size(); ++i)
+    EXPECT_DOUBLE_EQ(ref.records[i].withCare.recoveryUsTotal,
                      jit.records[i].withCare.recoveryUsTotal);
 }
 

@@ -136,7 +136,7 @@ TEST(MemoryTlb, MoveAssignInvalidatesTargetTlb) {
   EXPECT_EQ(v, 0xAAu) << "move-assignment left the target's old TLB live";
 }
 
-// The interleaving the fast interpreter depends on: map() of a fresh page
+// The interleaving the TLB's users depend on: map() of a fresh page
 // after a load miss cached "unmapped is impossible" state nowhere — a TLB
 // entry for page P must not shadow a later map() that replaces P's backing.
 TEST(MemoryTlb, MapInvalidatesExistingTranslations) {
@@ -229,6 +229,34 @@ TEST(MemoryTlb, EccShadowedPageNeverEntersTheTlb) {
 // they were with the shadow kept. An uncorrectable verdict keeps the word
 // pending, so the shadow and the TLB exclusion stay. A restoreFrom() of a
 // copy taken before the heal brings the shadow back.
+// The access-trace twin of the shadow rule: arming a sink evicts every
+// cached page and keeps them all out while it stays armed, so each typed
+// access (and each JIT access, through the miss helpers) is recorded; once
+// disarmed, pages cache again.
+TEST(MemoryTlb, TracedAccessesNeverEnterTheTlb) {
+  Memory m;
+  m.map(0, 4 * kPage);
+  std::uint64_t v = 0;
+  ASSERT_EQ(m.load(kPage + 8, MType::I64, v), MemStatus::Ok);
+  ASSERT_TRUE(tlbHolds(m, 1));
+  std::vector<std::uint64_t> sink;
+  m.setAccessTrace(&sink);
+  EXPECT_FALSE(tlbHolds(m, 1)) << "arming left a page cached";
+  ASSERT_EQ(m.load(kPage + 12, MType::I32, v), MemStatus::Ok);
+  ASSERT_EQ(m.store(2 * kPage + 16, MType::I64, 7), MemStatus::Ok);
+  ASSERT_NE(m.readPage(3), nullptr);
+  ASSERT_NE(m.writePage(3), nullptr);
+  for (const std::uint64_t p : {1, 2, 3})
+    EXPECT_FALSE(tlbHolds(m, p)) << "page " << p << " cached while traced";
+  EXPECT_EQ(sink, (std::vector<std::uint64_t>{kPage + 8, 2 * kPage + 16}));
+  m.traceAccess(3 * kPage + 5);
+  EXPECT_EQ(sink.back(), 3 * kPage);
+  m.setAccessTrace(nullptr);
+  ASSERT_EQ(m.load(kPage + 8, MType::I64, v), MemStatus::Ok);
+  EXPECT_TRUE(tlbHolds(m, 1));
+  EXPECT_EQ(sink.size(), 3u);
+}
+
 TEST(MemoryTlb, EccHealedPageReentersTheTlb) {
   constexpr std::uint64_t kHit = 3; // page number
   constexpr std::uint64_t kAddr = kHit * kPage + 40;

@@ -6,7 +6,7 @@
 // instruction counts, hang classification, SDC output comparison and
 // Safeguard activity all byte-for-byte equal. These tests drive the edge
 // geometry (fault site exactly on a boundary, before the first checkpoint,
-// in the last segment, past the profile count) on both interpreter loops,
+// in the last segment, past the profile count) on both backends,
 // then state the full guarantee over all five workloads via
 // serializeDeterministic().
 #include <gtest/gtest.h>
@@ -80,7 +80,7 @@ TEST(ReplayCache, BoundaryEdgesMatchFromScratchOnBothInterps) {
   ReplayEnv env;
   InterpGuard guard;
   for (vm::InterpKind interp :
-       {vm::InterpKind::Fast, vm::InterpKind::Ref, vm::InterpKind::Jit}) {
+       {vm::InterpKind::Ref, vm::InterpKind::Jit}) {
     vm::setDefaultInterp(interp);
 
     CampaignConfig offCfg = pinnedConfig();
@@ -179,7 +179,7 @@ TEST(ReplayCache, MemoryFaultCheckpointsSkipCountsButMatchProfiledStates) {
     return out;
   };
   for (vm::InterpKind interp :
-       {vm::InterpKind::Fast, vm::InterpKind::Ref, vm::InterpKind::Jit}) {
+       {vm::InterpKind::Ref, vm::InterpKind::Jit}) {
     vm::setDefaultInterp(interp);
     SCOPED_TRACE(vm::interpName(interp));
     CampaignConfig regCfg = pinnedConfig();

@@ -297,7 +297,7 @@ TEST(RollbackRecovery, CleanRunUnderRollbackMatchesNoneOnBothInterps) {
   CareEnv e = buildCare(kGridProg, "clean");
   InterpGuard guard;
   for (vm::InterpKind interp :
-       {vm::InterpKind::Fast, vm::InterpKind::Ref, vm::InterpKind::Jit}) {
+       {vm::InterpKind::Ref, vm::InterpKind::Jit}) {
     vm::setDefaultInterp(interp);
     Campaign none(e.image.get(), pinnedConfig(RecoveryStrategy::None));
     Campaign roll(e.image.get(), pinnedConfig(RecoveryStrategy::Rollback));
@@ -341,7 +341,7 @@ TEST(RollbackRecovery, RepairSuccessRecordsBitIdenticalOnBothInterps) {
 
   InterpGuard guard;
   for (vm::InterpKind interp :
-       {vm::InterpKind::Fast, vm::InterpKind::Ref, vm::InterpKind::Jit}) {
+       {vm::InterpKind::Ref, vm::InterpKind::Jit}) {
     vm::setDefaultInterp(interp);
     Campaign repair(built.image.get(),
                     pinnedConfig(RecoveryStrategy::Repair));
@@ -493,7 +493,7 @@ std::vector<InjectionPoint> rollbackSegvs(
   return out;
 }
 
-TEST(RollbackRecovery, RollbackRerunFastForwardsOnMatchingGrids) {
+TEST(RollbackRecovery, RollbackRerunsFastForwardOnMatchingGrids) {
   // Under kCkptAuto the replay grid is the ring grid, so a rollback
   // re-run restores the last golden checkpoint before its fault and
   // seeds its ring from the replay cache instead of executing the prefix.

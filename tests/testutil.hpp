@@ -2,6 +2,7 @@
 // run it, at a chosen optimization level.
 #pragma once
 
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -56,6 +57,22 @@ inline RunOutput compileAndRun(const std::string& source, opt::OptLevel level,
   const Program p = buildProgram(source, level);
   return runProgram(p, entry);
 }
+
+/// Sets `name` to `value` (unsets it for a null value) for the scope,
+/// restoring the caller's value on exit.
+struct ScopedEnv {
+  const char* name;
+  const char* prev = std::getenv(name);
+  std::string saved = prev ? prev : "";
+  ScopedEnv(const char* n, const char* value) : name(n) {
+    if (value) ::setenv(name, value, 1);
+    else ::unsetenv(name);
+  }
+  ~ScopedEnv() {
+    if (prev) ::setenv(name, saved.c_str(), 1);
+    else ::unsetenv(name);
+  }
+};
 
 inline double bitsToDouble(std::uint64_t bits) {
   double d;

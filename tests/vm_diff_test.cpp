@@ -1,9 +1,8 @@
-// Differential testing of the three interpreter backends against each
-// other: the reference big-switch loop (the executable specification), the
-// predecoded fast path, and the per-block template JIT. Every observable —
-// status, instruction count, exit code, register file (bitwise), emitted
-// output, per-static-instruction profile counts, and trap kind/pc/address —
-// must be pairwise identical across all backends:
+// Differential testing of the two backends against each other: the
+// reference big-switch loop (the executable specification) and the
+// per-block template JIT. Every observable — status, instruction count,
+// exit code, register file (bitwise), emitted output, per-static-
+// instruction profile counts, and trap kind/pc/address — must be identical:
 //  * golden (fault-free) runs of all five workloads, detectors unarmed and
 //    armed (signature cells, shadow address chains, SentinelTrap),
 //  * budget-capped runs stopping mid-execution after a few thousand
@@ -40,9 +39,8 @@ namespace {
 
 using workloads::Workload;
 
-constexpr vm::InterpKind kKinds[] = {vm::InterpKind::Ref, vm::InterpKind::Fast,
-                                     vm::InterpKind::Jit};
-constexpr std::size_t kNumKinds = 3;
+constexpr vm::InterpKind kKinds[] = {vm::InterpKind::Ref, vm::InterpKind::Jit};
+constexpr std::size_t kNumKinds = 2;
 
 // The lowered module must outlive the Image.
 struct BuildKeep {
@@ -257,7 +255,7 @@ Boundary captureBoundary(const vm::Image& image, vm::Executor& ex,
 // the way Campaign::profile's checkpoint pass drives it: at every boundary
 // the ResumePoint and every profile counter must match across backends.
 // golden/64 is the campaign's auto spacing; the odd 997 stops mid-block,
-// so the JIT deopts to the interpreter for the block's tail and resumes
+// so the JIT deopts to the reference loop for the block's tail and resumes
 // the profiling variant at the next block, counting into the same rows.
 TEST_P(WorkloadDiff, ProfiledCheckpointedRunsMatchAtEveryBoundary) {
   const Workload& w = *GetParam();
@@ -265,7 +263,7 @@ TEST_P(WorkloadDiff, ProfiledCheckpointedRunsMatchAtEveryBoundary) {
   const auto image = lowerWorkload(w, keep);
   vm::Executor probe(image.get());
   probe.setBudget(500'000'000);
-  const vm::RunResult golden = runUnder(probe, vm::InterpKind::Fast, w.entry);
+  const vm::RunResult golden = runUnder(probe, vm::InterpKind::Jit, w.entry);
   ASSERT_EQ(golden.status, vm::RunStatus::Done) << w.name;
 
   for (const std::uint64_t interval :
@@ -359,6 +357,82 @@ TEST(TrapDiff, RemainderOverflowFpeIdentically) {
       int y = -1;
       return x % y;
     })", vm::RunStatus::Trapped, vm::TrapKind::Fpe, "rem-overflow");
+}
+
+// --- fused divide-from-memory ------------------------------------------------
+
+// `x / g` and `x % g` with `g` a global load fuse into IAluMem divides
+// (src/backend/isel.cpp). The JIT emits them natively with the reference
+// loop's Fpe checks at both widths: a hot loop of them must match ref and
+// retire nothing on the reference loop, and its divide by zero and its
+// MIN / -1 must trap with the same kind at the same instruction count.
+TEST(FusedDivideDiff, GlobalDivisorLoopMatchesRefNatively) {
+  // Compile on first touch so "nothing on the reference loop" holds under
+  // a raised CARE_JIT_THRESHOLD too (JitImage reads it at construction).
+  const ScopedEnv firstTouch("CARE_JIT_THRESHOLD", "1");
+  struct Leg {
+    const char* tag;
+    const char* trapAt; // statement run at i == 1500, or "" for none
+  };
+  const Leg legs[] = {
+      {"no trap", ""},
+      {"i32 div by zero", "gi = 0;"},
+      {"i64 div by zero", "gl = 0;"},
+      {"i32 MIN / -1", "gi = -1; vi = -2147483647 - 1;"},
+      {"i64 MIN / -1", "gl = -1; vl = mn;"},
+  };
+  for (const Leg& leg : legs) {
+    const std::string src = std::string(R"(
+      int gi = 7;
+      long gl = 5;
+      int main() {
+        int s = 0;
+        long t = 0;
+        long mn = 1;
+        for (int k = 0; k < 63; k = k + 1) mn = mn * 2;
+        for (int i = 1; i < 2000; i = i + 1) {
+          int vi = i * 3;
+          long vl = t + i;
+          if (i == 1500) { )") + leg.trapAt + R"( }
+          s = s + vi / gi + vi % gi;
+          t = t + vl / gl + vl % gl;
+        }
+        emiti(t);
+        return s;
+      })";
+    Program p = buildProgram(src, opt::OptLevel::O0);
+    // The divides under test really are fused loads of both widths.
+    bool i32 = false, i64 = false;
+    for (const auto& fn : p.image->decoded().funcs[0])
+      for (const vm::DInst& d : fn.code)
+        if (d.kind == vm::DKind::IAluMem &&
+            (static_cast<backend::MOp>(d.sub) == backend::MOp::IDiv ||
+             static_cast<backend::MOp>(d.sub) == backend::MOp::IRem)) {
+          i32 |= d.memType == backend::MType::I32;
+          i64 |= d.memType == backend::MType::I64;
+        }
+    ASSERT_TRUE(i32 && i64) << leg.tag << ": no fused divide of each width";
+
+    const auto res = diffAllBackends(
+        p.image.get(), "main", leg.tag, /*profile=*/false, [](vm::Executor& ex) {
+          ex.setBudget(10'000'000);
+        });
+    if (*leg.trapAt) {
+      ASSERT_EQ(res[0].status, vm::RunStatus::Trapped) << leg.tag;
+      EXPECT_EQ(res[0].trap.kind, vm::TrapKind::Fpe) << leg.tag;
+    } else {
+      ASSERT_EQ(res[0].status, vm::RunStatus::Done) << leg.tag;
+    }
+    if (vm::jitAvailable()) {
+      vm::Executor jit(p.image.get());
+      jit.setInterp(vm::InterpKind::Jit);
+      jit.setBudget(10'000'000);
+      const vm::RunResult r = vm::runToCompletion(jit, "main");
+      EXPECT_EQ(r.instrCount, res[0].instrCount) << leg.tag;
+      EXPECT_EQ(jit.jitInterpretedInstrs(), 0u)
+          << leg.tag << ": fused divides left native code";
+    }
+  }
 }
 
 // --- injection fuzz ---------------------------------------------------------
@@ -644,8 +718,7 @@ TEST(InjectionDiff, MemoryFaultPlaysOutIdenticallyAcrossBackends) {
 // the profiled run reaches the fault on native code, the SIGSEGV leaves the
 // profiling variant through its trap exit mid-block, and Safeguard's Retry
 // re-enters it at the patched instruction. Counts, registers and output
-// must match ref and fast, which count the trapping instruction once per
-// attempt.
+// must match ref, which counts the trapping instruction once per attempt.
 TEST(ProfiledTrapDiff, SafeguardRepairedSegfaultCountsIdentically) {
   const Workload& w = workloads::hpccg();
   inject::ExperimentConfig ecfg;
@@ -721,8 +794,8 @@ TEST(ProfiledTrapDiff, SafeguardRepairedSegfaultCountsIdentically) {
 // divides by a zero global (through a register, so the JIT traps in a
 // native template rather than in a single-stepped fused op); the hook enables profiling at the first trap,
 // patches the divisor register and retries. The JIT driver then enters the
-// profiling variant at the retried instruction instead of handing the rest
-// of the run to the interpreter, and the later traps leave the profiling
+// counting variant at the retried instruction instead of handing the rest
+// of the run to the reference loop, and the later traps leave the counting
 // variant through its trap exit. Counts start at the first trap on every
 // backend (enableProfiling zeroes them), so they must match exactly.
 TEST(ProfiledTrapDiff, TrapHookEnablingProfilingSwitchesVariant) {
@@ -765,16 +838,16 @@ TEST(ProfiledTrapDiff, TrapHookEnablingProfilingSwitchesVariant) {
 // A profiled run through a SECDED-shadowed page. The strike lands on the
 // word at the stack pointer, so the run touches the struck page again at
 // once: on the JIT the profiling variant's TLB-miss stub finds the page
-// shadowed and exits to the interpreter, un-counting the instruction it had
-// already counted; the interpreter then counts it once. Counts, registers,
-// output, the address space and the ECC counters must match ref and fast.
+// shadowed and exits to the reference loop, un-counting the instruction it
+// had already counted; the reference loop then counts it once. Counts,
+// registers, output, the address space and the ECC counters must match ref.
 TEST(ProfiledTrapDiff, ShadowedPageExitsUncountIdentically) {
   const Workload& w = workloads::hpccg();
   BuildKeep keep;
   const auto image = lowerWorkload(w, keep);
   vm::Executor probe(image.get());
   probe.setBudget(500'000'000);
-  const vm::RunResult golden = runUnder(probe, vm::InterpKind::Fast, w.entry);
+  const vm::RunResult golden = runUnder(probe, vm::InterpKind::Jit, w.entry);
   ASSERT_EQ(golden.status, vm::RunStatus::Done);
 
   Rng rng(0x5AD0);

@@ -87,9 +87,9 @@ void usage() {
                "                     (0 = off; default CARE_CKPT_INTERVAL or\n"
                "                     golden/64; any value yields identical\n"
                "                     results)\n"
-               "  --interp=<b>       interpreter backend: fast (default),\n"
-               "                     ref (big-switch reference), or jit\n"
-               "                     (template JIT); all bit-identical\n"
+               "  --interp=<b>       execution backend: jit (template JIT,\n"
+               "                     default) or ref (big-switch\n"
+               "                     reference); bit-identical\n"
                "  --no-care          inject without Safeguard attached\n"
                "  --iv-recovery      enable the Fig. 11 extension\n"
                "  --detect=<list>    arm Sentinel detectors: comma list of\n"
